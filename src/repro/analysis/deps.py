@@ -351,11 +351,11 @@ def _derive_dependencies(effects: List[CommandEffects]) -> List[Dependency]:
     for j, later in enumerate(effects):
         for i in range(j):
             earlier = effects[i]
-            for node in earlier.writes & later.reads:
+            for node in sorted(earlier.writes & later.reads):
                 add(i, j, "flow", f"node {node}")
-            for node in earlier.reads & later.writes:
+            for node in sorted(earlier.reads & later.writes):
                 add(i, j, "anti", f"node {node}")
-            for node in earlier.writes & later.writes:
+            for node in sorted(earlier.writes & later.writes):
                 add(i, j, "output", f"node {node}")
             for name in earlier.var_defs & later.var_uses:
                 add(i, j, "var", f"${name}")

@@ -44,12 +44,21 @@ from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import PLAN_SCHEMA_VERSION, OptimizePlan, ReorderGroup
 
 
+#: bump when plan content changes without a layout change, so a plan
+#: cached by an older advisor is never served ("deps-sorted": dependence
+#: witnesses no longer depend on the process's analysis history)
+PLAN_CACHE_SALT = "deps-sorted"
+
+
 def plan_cache_key(source: str, config: BatchConfig) -> str:
     """Content address of one (script, config) plan.  The plan schema
-    version rides in the fingerprint so bumping it invalidates exactly
-    the plan entries, never the analysis reports sharing the cache."""
+    version and :data:`PLAN_CACHE_SALT` ride in the fingerprint so
+    bumping either invalidates exactly the plan entries, never the
+    analysis reports sharing the cache."""
     return cache_key(
-        source, config.fingerprint() + f";optimize-plan-v{PLAN_SCHEMA_VERSION}"
+        source,
+        config.fingerprint()
+        + f";optimize-plan-v{PLAN_SCHEMA_VERSION};{PLAN_CACHE_SALT}",
     )
 
 

@@ -98,6 +98,16 @@ def span_aggregates(recorder: TraceRecorder) -> Dict[str, Tuple[int, int]]:
     return totals
 
 
+def span_self_times(recorder: TraceRecorder) -> Dict[str, int]:
+    """Per span name: total own time in ns, i.e. wall time minus the
+    wall time of directly nested spans, so nesting never double counts."""
+    totals: Dict[str, int] = {}
+    for record in recorder.iter_spans():
+        own = record.duration_ns - sum(child.duration_ns for child in record.children)
+        totals[record.name] = totals.get(record.name, 0) + own
+    return totals
+
+
 def render_stats(recorder: TraceRecorder) -> str:
     """The ``--stats`` summary table (counters, histograms, span times)."""
     lines: List[str] = []
@@ -119,10 +129,14 @@ def render_stats(recorder: TraceRecorder) -> str:
             lines.append(row(name, histograms[name].describe()))
     aggregates = span_aggregates(recorder)
     if aggregates:
+        own = span_self_times(recorder)
         lines.append("spans (wall time)")
-        for name in sorted(aggregates, key=lambda n: -aggregates[n][1]):
+        for name in sorted(aggregates, key=lambda n: (-own[n], n)):
             count, total_ns = aggregates[name]
-            lines.append(row(name, f"n={count} total={total_ns / 1e6:.3f}ms"))
+            lines.append(row(
+                name,
+                f"n={count} total={total_ns / 1e6:.3f}ms self={own[name] / 1e6:.3f}ms",
+            ))
     if not lines:
         return "(no telemetry recorded)"
     return "\n".join(lines)

@@ -8,7 +8,7 @@ sorted list of inclusive ``(lo, hi)`` codepoint intervals.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 #: Highest codepoint in the universe.  We restrict the universe to a
 #: printable-friendly range plus common control characters; shell streams
@@ -188,17 +188,24 @@ def partition(sets: Sequence[CharSet]) -> List[CharSet]:
     Every input set is expressible as a union of returned atoms.  This is
     the alphabet-compression step used by subset construction: transitions
     out of a DFA state only need to be considered per atom.
+
+    One sweep over the sorted interval boundaries keeps a coverage depth
+    (+1 at ``lo``, -1 at ``hi + 1``); the span between two consecutive
+    boundaries is an atom when some input set covers it.  Every boundary
+    splits, even one whose net depth change is 0, so atoms are always
+    single intervals.
     """
-    boundaries = set()
+    depth_change: Dict[int, int] = {}
     for cs in sets:
         for lo, hi in cs.intervals:
-            boundaries.add(lo)
-            boundaries.add(hi + 1)
-    marks = sorted(boundaries)
+            depth_change[lo] = depth_change.get(lo, 0) + 1
+            depth_change[hi + 1] = depth_change.get(hi + 1, 0) - 1
+    marks = sorted(depth_change)
     atoms: List[CharSet] = []
+    depth = 0
     for idx in range(len(marks) - 1):
-        lo, hi = marks[idx], marks[idx + 1] - 1
-        atom = CharSet([(lo, hi)])
-        if any(atom.overlaps(cs) for cs in sets):
-            atoms.append(atom)
+        lo = marks[idx]
+        depth += depth_change[lo]
+        if depth:
+            atoms.append(CharSet([(lo, marks[idx + 1] - 1)]))
     return atoms

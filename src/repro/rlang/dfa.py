@@ -9,10 +9,13 @@ matter of flipping accepting states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..obs import get_recorder
+from ..obs import get_recorder, traced
 from .charclass import CharSet, partition
 from .nfa import NFA
 
@@ -36,10 +39,21 @@ class DFA:
     def n_states(self) -> int:
         return len(self.delta)
 
+    @cached_property
+    def _lows(self) -> List[int]:
+        return [atom.intervals[0][0] for atom in self.atoms]
+
     def atom_index(self, char: str) -> int:
-        for idx, atom in enumerate(self.atoms):
-            if char in atom:
-                return idx
+        return self.code_atom(ord(char))
+
+    def code_atom(self, code: int) -> int:
+        """Index of the atom containing codepoint ``code``, or the "other"
+        index.  Atoms are sorted disjoint single intervals (they come from
+        :func:`~repro.rlang.charclass.partition`), so a bisect over their
+        lower bounds finds the only candidate."""
+        idx = bisect_right(self._lows, code) - 1
+        if idx >= 0 and code <= self.atoms[idx].intervals[0][1]:
+            return idx
         return len(self.atoms)
 
     def step(self, state: int, char: str) -> int:
@@ -170,8 +184,14 @@ class DFA:
         return results
 
 
+@traced("rlang.determinise")
 def determinise(nfa: NFA) -> DFA:
     """Subset construction with alphabet compression.
+
+    Each NFA edge's charset is a union of atoms, so it is mapped once to
+    the indices of the atoms it covers; a subset's successor on every
+    atom then costs O(atoms covered by its edges) instead of
+    O(atoms x edges).
 
     Bounded like :func:`~repro.rlang.ops.product`: the subset frontier is
     checked against the hard DFA cap and the active analysis budget as
@@ -183,13 +203,34 @@ def determinise(nfa: NFA) -> DFA:
     all_sets = [cs for edges in nfa.transitions.values() for cs, _ in edges]
     atoms = partition(all_sets)
     other_idx = len(atoms)
+    lows = [atom.intervals[0][0] for atom in atoms]
+
+    def atoms_of(charset: CharSet) -> Tuple[int, ...]:
+        indices: List[int] = []
+        for lo, hi in charset.intervals:
+            idx = bisect_left(lows, lo)
+            while idx < other_idx and lows[idx] <= hi:
+                indices.append(idx)
+                idx += 1
+        return tuple(indices)
+
+    edges: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {
+        state: [(atoms_of(charset), dst) for charset, dst in out]
+        for state, out in nfa.transitions.items()
+    }
+    closures: Dict[FrozenSet[int], FrozenSet[int]] = {}
+
+    def closure(targets: FrozenSet[int]) -> FrozenSet[int]:
+        if targets not in closures:
+            closures[targets] = nfa.epsilon_closure(targets)
+        return closures[targets]
 
     start = nfa.epsilon_closure(frozenset({nfa.start}))
     index: Dict[FrozenSet[int], int] = {start: 0}
     delta: List[List[int]] = []
     accepting: Set[int] = set()
     order: List[FrozenSet[int]] = [start]
-    sink: Optional[int] = None
+    empty: FrozenSet[int] = frozenset()
 
     def state_id(subset: FrozenSet[int]) -> int:
         if subset not in index:
@@ -204,16 +245,17 @@ def determinise(nfa: NFA) -> DFA:
         subset = order[pos]
         if nfa.accept in subset:
             accepting.add(pos)
-        row = [None] * (other_idx + 1)  # type: List[Optional[int]]
-        for atom_idx, atom in enumerate(atoms):
-            targets: Set[int] = set()
-            for state in subset:
-                for charset, dst in nfa.transitions.get(state, ()):
-                    if atom.overlaps(charset):
-                        targets.add(dst)
-            row[atom_idx] = state_id(nfa.epsilon_closure(frozenset(targets)))
-        row[other_idx] = state_id(frozenset())
-        delta.append(row)  # type: ignore[arg-type]
+        targets: Dict[int, Set[int]] = defaultdict(set)
+        for state in subset:
+            for indices, dst in edges.get(state, ()):
+                for atom_idx in indices:
+                    targets[atom_idx].add(dst)
+        row = [
+            state_id(closure(frozenset(targets[atom_idx])) if atom_idx in targets else empty)
+            for atom_idx in range(other_idx)
+        ]
+        row.append(state_id(empty))
+        delta.append(row)
         pos += 1
 
     enforce_dfa_cap(len(delta), "rlang.determinise")
@@ -222,9 +264,10 @@ def determinise(nfa: NFA) -> DFA:
         recorder.count("rlang.determinise_calls")
         recorder.observe("rlang.dfa_states", len(delta))
         recorder.observe("rlang.dfa_atoms", len(atoms))
-    return DFA(atoms=atoms, delta=[list(map(int, row)) for row in delta], accepting=accepting)
+    return DFA(atoms=atoms, delta=delta, accepting=accepting)
 
 
+@traced("rlang.minimise")
 def minimise(dfa: DFA) -> DFA:
     """Hopcroft's partition-refinement minimisation."""
     n = dfa.n_states

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs import get_recorder
+from ..obs import get_recorder, traced
 from .charclass import CharSet, partition
 from .dfa import DFA
 
@@ -20,12 +20,9 @@ def _common_atoms(a: DFA, b: DFA) -> List[CharSet]:
 
 def _atom_map(dfa: DFA, atoms: List[CharSet]) -> List[int]:
     """For each common atom, the index of the original atom containing it
-    (or the "other" index).  Common atoms refine originals, so a sample
-    character suffices to locate the original atom."""
-    mapping = []
-    for atom in atoms:
-        mapping.append(dfa.atom_index(atom.sample()))
-    return mapping
+    (or the "other" index).  Common atoms refine originals, so the lowest
+    codepoint suffices to locate the original atom."""
+    return [dfa.code_atom(atom.intervals[0][0]) for atom in atoms]
 
 
 #: Unconditional ceiling on product-construction size: pathological
@@ -40,6 +37,7 @@ PRODUCT_STATE_CAP = 100_000
 _CAP_STRIDE = 64
 
 
+@traced("rlang.product")
 def product(a: DFA, b: DFA, accept: Callable[[bool, bool], bool]) -> DFA:
     """Product DFA whose acceptance combines the operands' with ``accept``.
 

@@ -1,7 +1,9 @@
 """Unit tests for the CLI entry points."""
 
 import io
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +129,20 @@ class TestDispatcher:
     def test_dispatch(self, script_file, capsys):
         path = script_file("echo hi\n")
         assert cli.main(["analyze", path]) == 0
+
+
+class TestScriptEntries:
+    def test_documented_commands_have_script_entries(self):
+        root = Path(__file__).resolve().parents[2]
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        section = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        entries = dict(
+            re.findall(r'^(repro-[\w-]+) = "repro\.cli:(\w+)"$', section, re.M)
+        )
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        # repro-dev.pth is the README's editable-install trick, not a command
+        documented = set(re.findall(r"\brepro-[a-z]+\b", readme)) - {"repro-dev"}
+        assert "repro-optimize" in entries
+        assert documented <= set(entries)
+        for function in entries.values():
+            assert callable(getattr(cli, function))

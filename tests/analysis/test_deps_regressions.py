@@ -3,6 +3,9 @@ on: compound-command event attribution, env-var def/use through command
 substitutions and compound forms, the WAR variable edge, and budgeted
 (degrading, never raising) dependence analysis."""
 
+import itertools
+import os
+
 from repro.analysis.deps import _vars_of, analyze_dependencies
 from repro.analysis.resilience import ResourceBudget
 from repro.shell import parse
@@ -133,3 +136,43 @@ class TestBudgetedDeps:
             (d.src, d.dst, d.kind) for d in g.dependencies
         )
         assert shape(budgeted) == shape(free)
+
+
+class TestHistoryIndependence:
+    """Symbolic fs node ids come from a process-global counter, so the
+    ids a script's analysis sees depend on what the process analyzed
+    before.  The dependence witnesses (and the plan that renders them)
+    must not."""
+
+    SCRIPT = os.path.join(
+        os.path.dirname(__file__), "..", "..", "examples", "scripts",
+        "fragment_pipeline.sh",
+    )
+
+    def test_plan_render_is_the_same_at_every_node_id_offset(self, monkeypatch):
+        from repro.analysis.optimize import run_optimize_batch
+        from repro.fs import model
+
+        renders = set()
+        for offset in (100, 101, 103, 104, 111, 1000, 12345):
+            monkeypatch.setattr(model, "_node_ids", itertools.count(offset))
+            result = run_optimize_batch([self.SCRIPT], jobs=1).results[0]
+            renders.add(result.plan.render())
+        assert len(renders) == 1
+
+    def test_witness_node_is_the_same_at_every_node_id_offset(self, monkeypatch):
+        from repro.fs import model
+
+        with open(self.SCRIPT, encoding="utf-8") as handle:
+            source = handle.read()
+        vias = set()
+        for offset in (100, 101, 103, 104, 1000):
+            monkeypatch.setattr(model, "_node_ids", itertools.count(offset))
+            graph = analyze_dependencies(source)
+            nodes = [
+                int(d.via.split()[1]) - offset
+                for d in graph.dependencies
+                if d.via.startswith("node ")
+            ]
+            vias.add(tuple(nodes))
+        assert len(vias) == 1

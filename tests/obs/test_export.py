@@ -9,6 +9,7 @@ from repro.obs.export import (
     render_stats,
     render_tree,
     span_aggregates,
+    span_self_times,
     write_chrome_trace,
 )
 
@@ -103,6 +104,24 @@ class TestStats:
         assert "symex.states_explored" in text
         assert "12" in text
         assert "rlang.dfa_states" in text
+
+    def test_self_time_excludes_nested_spans(self):
+        recorder = sample_recorder()
+        own = span_self_times(recorder)
+        totals = span_aggregates(recorder)
+        # FakeClock ticks once per read: a leaf span lasts one tick
+        assert own["eval.SimpleCommand"] == totals["eval.SimpleCommand"][1]
+        assert own["analyze.symex"] < totals["analyze.symex"][1]
+        [root] = recorder.roots
+        assert sum(own.values()) == root.duration_ns
+
+    def test_render_stats_orders_spans_by_self_time(self):
+        text = render_stats(sample_recorder())
+        spans = text.split("spans (wall time)\n", 1)[1].splitlines()
+        own = span_self_times(sample_recorder())
+        names = [line.split()[0] for line in spans]
+        assert names == sorted(own, key=lambda n: (-own[n], n))
+        assert all("self=" in line for line in spans)
 
     def test_empty_recorder(self):
         recorder = TraceRecorder(clock=FakeClock())

@@ -119,6 +119,42 @@ class TestCliStatsGolden:
         assert "spans (wall time)" in captured.err
         assert "analyze.symex" in captured.err
 
+    def test_analyze_stats_charges_rlang_spans(self, capsys):
+        """The automaton kernels carry their own spans, so --stats charges
+        their time to rlang rather than to the eval span that called them."""
+        script = REPO_ROOT / "examples" / "scripts" / "tempfile_lifecycle.sh"
+        cli.main_analyze([str(script), "--stats"])
+        err = capsys.readouterr().err
+        for name in ("rlang.determinise", "rlang.product"):
+            match = re.search(
+                rf"{re.escape(name)}\s\.+\sn=(\d+) total=[0-9.]+ms self=[0-9.]+ms",
+                err,
+            )
+            assert match, err
+            calls = re.search(rf"{re.escape(name)}_calls\s\.+\s(\d+)", err)
+            assert calls and calls.group(1) == match.group(1)
+
+    def test_rlang_spans_nest_under_eval_spans(self):
+        script = REPO_ROOT / "examples" / "scripts" / "tempfile_lifecycle.sh"
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            analyze(script.read_text())
+        rlang = []
+        stack = [(root, None) for root in recorder.roots]
+        while stack:
+            span, eval_parent = stack.pop()
+            if span.name.startswith("rlang."):
+                rlang.append((span.name, eval_parent))
+            if span.name.startswith("eval."):
+                eval_parent = span.name
+            stack.extend((child, eval_parent) for child in span.children)
+        names = [name for name, _ in rlang]
+        assert names.count("rlang.determinise") == recorder.counter("rlang.determinise_calls")
+        assert names.count("rlang.product") == recorder.counter("rlang.product_calls")
+        # word expansion inside commands builds languages: those spans
+        # are what a plain eval span used to absorb
+        assert any(parent == "eval.SimpleCommand" for _, parent in rlang)
+
     def test_analyze_trace_writes_chrome_json(self, tmp_path, capsys):
         script = tmp_path / "s.sh"
         script.write_text("echo hello\n")

@@ -2,15 +2,20 @@
 
 Random regex ASTs over a small alphabet, checked against brute-force
 string semantics: boolean algebra, containment, star, minimisation, and
-quotients must all agree with per-string membership.
+quotients must all agree with per-string membership.  Over a wide
+alphabet, the indexed automaton kernels must build exactly the automata
+of their plain atom x edge formulations.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rlang import Regex, minimise
-from repro.rlang.charclass import CharSet
+from repro.rlang import Regex, build_nfa, determinise, minimise
+from repro.rlang import dfa as dfa_module, ops
+from repro.rlang.charclass import MAX_CODEPOINT, CharSet, partition
+from repro.rlang.dfa import DFA
 from repro.rlang.syntax import Alt, Concat, Epsilon, Lit, Node, Star
 
 ALPHABET = "abc"
@@ -239,3 +244,168 @@ class TestHomomorphicImage:
         lhs = a.star().map_chars(_shift_map)
         rhs = a.map_chars(_shift_map).star()
         assert lhs == rhs
+
+
+# -- structural identity ----------------------------------------------------
+#
+# Reports render witnesses and automaton sizes from DFA state numbering,
+# so the subset construction must reproduce the exact automaton (atoms,
+# numbering, accepting set), not just the language.  The oracles below
+# are the plain atom x edge formulations the indexed kernels replace.
+
+#: interval endpoints worth hitting: the universe's edges, ASCII letters,
+#: the end of ASCII and of the BMP
+_POINTS = [
+    0, 1, ord("a") - 1, ord("a"), ord("b"), ord("c"), ord("z"), 0x7F,
+    0xFFFF, MAX_CODEPOINT - 1, MAX_CODEPOINT,
+]
+
+
+@st.composite
+def wide_charsets(draw):
+    """Ranges, negated classes, ``.`` and intervals touching 0 and
+    MAX_CODEPOINT."""
+    kind = draw(st.sampled_from(["intervals", "negated", "dot", "chars"]))
+    if kind == "dot":
+        return CharSet.universe()
+    if kind == "chars":
+        return CharSet.of(draw(st.text(alphabet="abcxyz/.\n", min_size=1, max_size=3)))
+    bounds = draw(
+        st.lists(st.tuples(st.sampled_from(_POINTS), st.sampled_from(_POINTS)),
+                 min_size=1, max_size=3)
+    )
+    charset = CharSet((min(lo, hi), max(lo, hi)) for lo, hi in bounds)
+    return charset.complement() if kind == "negated" else charset
+
+
+def wide_regex_ast():
+    nonempty = wide_charsets().filter(lambda cs: not cs.is_empty())
+    return st.recursive(
+        st.one_of(st.just(Epsilon()), nonempty.map(Lit)),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Concat(*t)),
+            st.tuples(inner, inner).map(lambda t: Alt(*t)),
+            inner.map(Star),
+        ),
+        max_leaves=8,
+    )
+
+
+def _oracle_partition(sets):
+    marks = sorted({b for cs in sets for lo, hi in cs.intervals for b in (lo, hi + 1)})
+    atoms = []
+    for idx in range(len(marks) - 1):
+        atom = CharSet([(marks[idx], marks[idx + 1] - 1)])
+        if any(atom.overlaps(cs) for cs in sets):
+            atoms.append(atom)
+    return atoms
+
+
+def _oracle_determinise(nfa):
+    atoms = _oracle_partition(
+        [cs for edges in nfa.transitions.values() for cs, _ in edges]
+    )
+    start = nfa.epsilon_closure(frozenset({nfa.start}))
+    index, order, delta, accepting = {start: 0}, [start], [], set()
+
+    def state_id(subset):
+        if subset not in index:
+            index[subset] = len(order)
+            order.append(subset)
+        return index[subset]
+
+    pos = 0
+    while pos < len(order):
+        subset = order[pos]
+        if nfa.accept in subset:
+            accepting.add(pos)
+        row = []
+        for atom in atoms:
+            targets = {
+                dst
+                for state in subset
+                for charset, dst in nfa.transitions.get(state, ())
+                if atom.overlaps(charset)
+            }
+            row.append(state_id(nfa.epsilon_closure(frozenset(targets))))
+        row.append(state_id(frozenset()))
+        delta.append(row)
+        pos += 1
+    return DFA(atoms=atoms, delta=delta, accepting=accepting)
+
+
+def _same_automaton(dfa, expected):
+    assert dfa.atoms == expected.atoms
+    assert dfa.delta == expected.delta
+    assert dfa.accepting == expected.accepting
+    assert dfa.start == expected.start
+
+
+class TestStructuralIdentity:
+    @given(wide_regex_ast())
+    @settings(max_examples=200, deadline=None)
+    def test_determinise_matches_atom_by_edge_oracle(self, node):
+        nfa = build_nfa(node)
+        _same_automaton(determinise(nfa), _oracle_determinise(nfa))
+
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=60, deadline=None)
+    def test_glue_constructions_match_oracle(self, left, right):
+        # concat and star determinise NFAs glued from whole DFAs, whose
+        # edges carry atoms and the "other" complement
+        a, b = Regex.from_ast(left), Regex.from_ast(right)
+        indexed = [(a + b).dfa, a.star().dfa]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dfa_module, "determinise", _oracle_determinise)
+            expected = [(a + b).dfa, a.star().dfa]
+        for dfa, oracle in zip(indexed, expected):
+            _same_automaton(dfa, oracle)
+
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=100, deadline=None)
+    def test_product_atom_map_matches_sample_scan(self, left, right):
+        a, b = Regex.from_ast(left).dfa, Regex.from_ast(right).dfa
+        common = ops._common_atoms(a, b)
+        for dfa in (a, b):
+            linear = [
+                next(
+                    (idx for idx, atom in enumerate(dfa.atoms) if common_atom.sample() in atom),
+                    len(dfa.atoms),
+                )
+                for common_atom in common
+            ]
+            assert ops._atom_map(dfa, common) == linear
+
+    @given(st.lists(wide_charsets(), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_partition_invariants(self, sets):
+        atoms = partition(sets)
+        assert atoms == _oracle_partition(sets)
+        for atom in atoms:
+            assert len(atom.intervals) == 1
+        bounds = [atom.intervals[0] for atom in atoms]
+        assert bounds == sorted(bounds)
+        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+            assert hi < lo
+        union_of_atoms = CharSet(bounds)
+        union_of_inputs = CharSet(iv for cs in sets for iv in cs.intervals)
+        assert union_of_atoms == union_of_inputs
+        for cs in sets:
+            inside = [iv for iv in bounds if CharSet([iv]).intersect(cs) == CharSet([iv])]
+            assert CharSet(inside) == cs
+            for iv in bounds:
+                # every atom is wholly inside or wholly outside each input
+                part = CharSet([iv]).intersect(cs)
+                assert part.is_empty() or part == CharSet([iv])
+
+    @given(wide_regex_ast(), st.lists(st.sampled_from(_POINTS + [0x2F, 0x41]), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_atom_index_agrees_with_linear_scan(self, node, codes):
+        dfa = Regex.from_ast(node).dfa
+        for code in codes:
+            char = chr(code)
+            linear = next(
+                (idx for idx, atom in enumerate(dfa.atoms) if char in atom),
+                len(dfa.atoms),
+            )
+            assert dfa.atom_index(char) == linear
