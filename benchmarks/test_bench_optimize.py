@@ -11,6 +11,10 @@ properties anchor the subsystem:
    reads: the ``symex.runs`` counter must not grow at all.
 3. **The daemon serves plans warm** — a resident server answering an
    ``optimize`` request from cache must beat the cold in-process build.
+4. **Concrete paths alias by text** — the race detector's re-checks on
+   the fan-out corpus compare literal paths without building a single
+   path automaton (``effects.alias_automata`` stays 0); symbolic paths
+   still go through the automata.
 """
 
 import os
@@ -106,6 +110,7 @@ def test_warm_plan_cache_runs_zero_symex(corpus, tmp_path):
             f"warm cache: {warm_seconds * 1e3:.1f}ms "
             f"({cold_seconds / max(warm_seconds, 1e-9):.1f}x faster)",
             f"warm symex runs: {warm_rec.counter('symex.runs')}",
+            f"cold alias automata: {cold_rec.counter('effects.alias_automata')}",
         ],
     )
     emit_json(
@@ -117,6 +122,7 @@ def test_warm_plan_cache_runs_zero_symex(corpus, tmp_path):
             "speedup_x": round(cold_seconds / max(warm_seconds, 1e-9), 1),
             "cold_symex_runs": cold_rec.counter("symex.runs"),
             "warm_symex_runs": warm_rec.counter("symex.runs"),
+            "cold_alias_automata": cold_rec.counter("effects.alias_automata"),
         },
         section="cold_vs_warm_cache",
     )
@@ -125,8 +131,25 @@ def test_warm_plan_cache_runs_zero_symex(corpus, tmp_path):
     assert warm.hits == CORPUS_SIZE and warm.misses == 0
     assert warm_rec.counter("symex.runs") == 0
     assert cold_rec.counter("symex.runs") > 0
+    # every alias query of the fan-out corpus compares literal paths
+    assert cold_rec.counter("effects.alias_automata") == 0
     assert warm.render() == cold.render()
     assert warm_seconds < cold_seconds
+
+
+def test_symbolic_paths_build_alias_automata():
+    # the fan-out shape with inputs from "$1"/"$2": the race detector
+    # must intersect path languages to decide those aliasing queries
+    source = (
+        "mkdir -p /srv/out\n"
+        'grep ERR "$1" > /srv/out/a.txt\n'
+        'grep ERR "$2" > /srv/out/b.txt\n'
+        "cat /srv/out/a.txt /srv/out/b.txt | sort > /srv/out/all.txt\n"
+    )
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        build_plan(source)
+    assert recorder.counter("effects.alias_automata") > 0
 
 
 def test_warm_server_plan_beats_cold_inline(corpus, daemon):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...fs import FsEvent, FsOp, Origin
+from ...obs import get_recorder
 from ...rlang import Regex
 from ...symstr import ConstraintStore
 
@@ -232,12 +233,22 @@ class EffectGraph:
         Returns ``"node"`` when both resolved to the same abstract fs
         node (definite), ``"language"`` when their symbolic path
         languages intersect (possible), or None when they are provably
-        distinct files.
+        distinct files.  Two paths without symbolic segments are decided
+        by comparing text; only a symbolic one builds path automata
+        (counted as ``effects.alias_automata``).
         """
         if a.node is not None and a.node == b.node:
             return "node"
         if a.path == b.path:
             return "node"
+        text_a, text_b = _concrete_text(a.path), _concrete_text(b.path)
+        if text_a is not None and text_b is not None:
+            # both languages are singletons: comparing their one string
+            # is the intersection test, without building automata
+            return "language" if text_a == text_b else None
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.count("effects.alias_automata")
         intersection = self.path_language(a.path) & self.path_language(b.path)
         if not intersection.is_empty():
             return "language"
@@ -263,6 +274,15 @@ class EffectGraph:
         for edge in self.edges:
             lines.append(f"    {edge.src} -{edge.kind}-> {edge.dst}")
         return "\n".join(lines)
+
+
+def _concrete_text(path: str) -> Optional[str]:
+    """The one string :meth:`EffectGraph.path_language` accepts for a path
+    with no symbolic segment, or None when some segment is symbolic."""
+    segments = [s for s in path.split("/") if s]
+    if any(_SYM_SEGMENT.match(segment) for segment in segments):
+        return None
+    return ("/" if path.startswith("/") else "") + "/".join(segments)
 
 
 def display_path(path: str) -> str:

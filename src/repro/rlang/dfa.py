@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import get_recorder, traced
-from .charclass import CharSet, partition
+from .charclass import MAX_CODEPOINT, CharSet, partition
 from .nfa import NFA
 
 
@@ -27,7 +27,9 @@ class DFA:
     ``atoms`` are disjoint charsets covering every character that appears
     on any transition; characters outside all atoms behave like the
     "other" pseudo-atom (index ``len(atoms)``).  ``delta[state]`` maps an
-    atom index (including the "other" index) to a target state.
+    atom index (including the "other" index) to a target state.  When the
+    atoms cover the whole universe, the "other" column stands for no
+    character, and the language queries never follow it.
     """
 
     atoms: List[CharSet]
@@ -42,6 +44,19 @@ class DFA:
     @cached_property
     def _lows(self) -> List[int]:
         return [atom.intervals[0][0] for atom in self.atoms]
+
+    @cached_property
+    def covers_universe(self) -> bool:
+        """Do the atoms cover every codepoint?  Then the "other" column
+        stands for no character.  Atoms are disjoint, so their sizes sum
+        to the number of codepoints they cover."""
+        covered = sum(hi - lo + 1 for atom in self.atoms for lo, hi in atom.intervals)
+        return covered > MAX_CODEPOINT
+
+    def _successors(self, state: int) -> List[int]:
+        """``delta[state]`` restricted to the columns a character can take."""
+        row = self.delta[state]
+        return row[:-1] if self.covers_universe else row
 
     def atom_index(self, char: str) -> int:
         return self.code_atom(ord(char))
@@ -71,14 +86,14 @@ class DFA:
         stack = [self.start]
         while stack:
             state = stack.pop()
-            for target in self.delta[state]:
+            for target in self._successors(state):
                 if target not in reachable:
                     reachable.add(target)
                     stack.append(target)
         # reverse reachability from accepting states
         reverse: Dict[int, Set[int]] = {}
-        for src, row in enumerate(self.delta):
-            for dst in row:
+        for src in range(self.n_states):
+            for dst in self._successors(src):
                 reverse.setdefault(dst, set()).add(src)
         coreachable = set(self.accepting)
         stack = list(self.accepting)
@@ -91,7 +106,26 @@ class DFA:
         return reachable & coreachable
 
     def is_empty(self) -> bool:
-        return not self.live_states()
+        """No accepting state is reachable from the start.
+
+        Every accepting state is co-reachable, so this is exactly
+        ``not self.live_states()`` without the reverse sweep, and the
+        forward search stops at the first accepting state it meets.
+        """
+        accepting = self.accepting
+        if not accepting:
+            return True
+        seen = {self.start}
+        stack = [self.start]
+        while stack:
+            state = stack.pop()
+            if state in accepting:
+                return False
+            for target in self._successors(state):
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        return True
 
     def is_finite(self) -> bool:
         """True when the accepted language is finite (no live cycle)."""
@@ -106,7 +140,7 @@ class DFA:
             colour[root] = GREY
             while stack:
                 state, edge_idx = stack[-1]
-                row = self.delta[state]
+                row = self._successors(state)
                 advanced = False
                 for idx in range(edge_idx, len(row)):
                     target = row[idx]
@@ -135,7 +169,7 @@ class DFA:
         while queue:
             nxt: List[int] = []
             for state in queue:
-                for atom_idx, target in enumerate(self.delta[state]):
+                for atom_idx, target in enumerate(self._successors(state)):
                     if target in seen:
                         continue
                     seen.add(target)
@@ -176,7 +210,7 @@ class DFA:
                     if len(results) >= limit:
                         return results
             for state, text in frontier:
-                for atom_idx, target in enumerate(self.delta[state]):
+                for atom_idx, target in enumerate(self._successors(state)):
                     if target in live:
                         nxt.append((target, text + self._atom_sample(atom_idx)))
             frontier = nxt

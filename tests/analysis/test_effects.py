@@ -1,5 +1,7 @@
 """Effect-graph hazard analysis: file-system races over `&`/`wait`."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.analysis import analyze
 from repro.analysis.effects import (
     RaceChecker,
@@ -7,8 +9,12 @@ from repro.analysis.effects import (
     display_path,
     find_hazards,
 )
+from repro.analysis.effects.graph import Access, EffectGraph
+from repro.fs import FsOp
 from repro.obs import TraceRecorder, use_recorder
+from repro.rlang import Regex
 from repro.symex import Engine
+from repro.symstr import ConstraintStore
 
 
 def run_states(source, n_args=0):
@@ -101,6 +107,82 @@ class TestSymbolicAliasing:
     def test_constrained_overlapping_flags(self):
         source = 'case "$1" in *.log) cmd > "$1" & grep x a.log;; esac\n'
         assert "race-read-write" in race_codes(source, n_args=1)
+
+
+def _graph():
+    # <v3> is constrained to two names, <v7> and <v-1> are unconstrained
+    store = ConstraintStore({3: Regex.compile("a|b"), 7: Regex.any_string()})
+    return EffectGraph([], {}, [], [], store=store)
+
+
+def _access(path, node=None):
+    return Access(index=0, op=FsOp.READ, path=path, node=node, origin=None, task=0)
+
+
+def _oracle_alias(graph, a, b):
+    """``may_alias`` by intersecting path automata, whatever the paths."""
+    if a.node is not None and a.node == b.node:
+        return "node"
+    if a.path == b.path:
+        return "node"
+    if not (graph.path_language(a.path) & graph.path_language(b.path)).is_empty():
+        return "language"
+    return None
+
+
+#: literal segments ``.``/``..`` and ``x<v3>`` stay literal; empty
+#: segments make doubled, leading and trailing slashes
+_SEGMENTS = ["a", "b", "ab", ".", "..", "x<v3>", "", "<v3>", "<v7>", "<v-1>"]
+
+
+@st.composite
+def trace_paths(draw, symbolic=True):
+    pool = _SEGMENTS if symbolic else _SEGMENTS[:7]
+    segments = draw(st.lists(st.sampled_from(pool), max_size=4))
+    lead = draw(st.sampled_from(["", "/", "//"]))
+    trail = draw(st.sampled_from(["", "/"]))
+    return lead + "/".join(segments) + trail
+
+
+class TestMayAlias:
+    @given(trace_paths(), trace_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_automaton_oracle(self, left, right):
+        graph = _graph()
+        a, b = _access(left), _access(right)
+        assert graph.may_alias(a, b) == _oracle_alias(graph, a, b)
+
+    @given(trace_paths(symbolic=False), trace_paths(symbolic=False))
+    @settings(max_examples=200, deadline=None)
+    def test_concrete_pairs_build_no_automata(self, left, right):
+        graph = _graph()
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            graph.may_alias(_access(left), _access(right))
+        assert recorder.counter("effects.alias_automata") == 0
+
+    def test_symbolic_pair_counts_automata(self):
+        graph = _graph()
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            assert graph.may_alias(_access("/srv/<v3>"), _access("/srv/a")) == "language"
+            assert graph.may_alias(_access("/srv/<v3>"), _access("/srv/c")) is None
+        assert recorder.counter("effects.alias_automata") == 2
+
+    def test_text_comparison_follows_path_language(self):
+        graph = _graph()
+        cases = [
+            ("/srv//out/", "/srv/out", "language"),
+            ("//srv", "/srv", "language"),
+            ("srv", "/srv", None),
+            ("a/./b", "a/b", None),
+            ("a/../b", "b", None),
+            ("x<v3>", "xa", None),
+            ("/srv/report/web.txt", "/srv/report/db.txt", None),
+        ]
+        for left, right, expected in cases:
+            assert graph.may_alias(_access(left), _access(right)) == expected
+        assert graph.may_alias(_access("f", node=4), _access("g", node=4)) == "node"
 
 
 class TestEffectGraph:

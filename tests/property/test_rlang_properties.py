@@ -409,3 +409,45 @@ class TestStructuralIdentity:
                 len(dfa.atoms),
             )
             assert dfa.atom_index(char) == linear
+
+
+# -- emptiness --------------------------------------------------------------
+#
+# ``is_empty`` is a forward search for an accepting state and skips the
+# "other" column when the atoms cover the universe.  Its oracles: the
+# shortest-witness search, and the two-way live-state sweep wherever the
+# "other" column stands for real characters.
+
+
+def _derived(a, b):
+    """An operand pair and the languages built from it by every boolean
+    operation, complements included."""
+    return [a, b, a & b, a | b, a - b, b - a, ~a, ~b, ~a & ~b, ~(a | b), ~a - b]
+
+
+def _check_emptiness(regex):
+    dfa = regex.dfa
+    empty = dfa.is_empty()
+    assert empty == (dfa.shortest_accepted() is None)
+    if empty:
+        assert dfa.enumerate(limit=1) == []
+    if not dfa.covers_universe:
+        assert empty == (not dfa.live_states())
+    if not empty:
+        assert regex.matches(regex.example())
+
+
+class TestEmptiness:
+    @given(regex_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_small_alphabet(self, pair):
+        for regex in _derived(*pair):
+            _check_emptiness(regex)
+
+    @given(wide_regex_ast(), wide_regex_ast())
+    @settings(max_examples=150, deadline=None)
+    def test_wide_alphabet(self, left, right):
+        # ``.`` plus ``\n`` and negated classes make universe-covering
+        # atoms, whose "other" column is dead
+        for regex in _derived(Regex.from_ast(left), Regex.from_ast(right)):
+            _check_emptiness(regex)

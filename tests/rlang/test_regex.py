@@ -234,3 +234,37 @@ class TestMinimisation:
         mdfa = pat.min_dfa
         for text in ["ab", "abb", "a", "b", "", "abbb"]:
             assert mdfa.accepts(text) == pat.matches(text)
+
+
+class TestUniverseCoveringAlphabet:
+    """When a DFA's atoms cover every codepoint, its "other" column stands
+    for no character; following it made the complement of "any string"
+    look non-empty."""
+
+    def test_complement_of_any_string_is_empty(self):
+        nothing = ~Regex.compile("(.|\\n)*")
+        assert nothing.dfa.covers_universe
+        assert nothing.is_empty()
+        assert nothing.example() is None
+        assert nothing.examples() == []
+        assert nothing.is_finite()
+
+    def test_any_string_queries(self):
+        anything = Regex.any_string()
+        assert anything.dfa.covers_universe
+        assert not anything.is_empty()
+        assert not anything.is_finite()
+        assert anything.example() == ""
+
+    def test_product_of_complements(self):
+        anything, ab = Regex.any_string(), rx("ab")
+        nothing = ~anything
+        assert (nothing | ab) == ab
+        assert (nothing & ab).is_empty()
+        assert (ab - anything).is_empty()
+        assert (~nothing) == anything
+        assert nothing <= ab and not ab <= nothing
+        # complement of a complement over a product's common atoms
+        both = ~(~rx("a+") & ~rx("(.|\\n)*b"))
+        assert both == rx("a+") | rx("(.|\\n)*b")
+        assert (~(~rx("a+") | ~anything)) == rx("a+")
