@@ -7,6 +7,14 @@ fans the work out to a process pool, and consults the persistent
 :mod:`~repro.analysis.cache` so unchanged files cost one hash + one
 read on re-analysis instead of a symbolic execution.
 
+The driver (:func:`run_kind`) is generic in what it computes per file:
+a :class:`BatchKind` names the computation, its cache key and schema,
+and its stand-ins for unreadable and quarantined files.  Analysis
+(:data:`ANALYZE`, behind :func:`run_batch`) and optimization plans
+(``OPTIMIZE`` in :mod:`.optimize.advisor`) are the two kinds, and
+:func:`run_cached` is the same cache discipline for one script (the
+daemon's single-file ops and ``repro-optimize FILE``).
+
 Crash containment: each file is submitted to the pool as its own
 future, so one file killing its worker (OOM, segfault in an extension,
 ``os._exit``) cannot take the rest of the batch with it.  A file whose
@@ -17,12 +25,13 @@ carrying an ``analysis-quarantined`` diagnostic.  Degraded and
 quarantined reports are never written to the result cache, so a later
 run re-analyzes those files from scratch.
 
-Counters (visible via ``--stats``): ``batch.files``,
+Counters (visible via ``--stats``), under the kind's prefix (``batch``
+for analysis, ``optimize`` for plans): ``batch.files``,
 ``batch.cache.hit`` / ``batch.cache.miss`` / ``batch.cache.store``,
 ``batch.worker_failures`` / ``batch.retries`` / ``batch.quarantined``;
-per-file analysis seconds feed the ``batch.file_seconds`` histogram so
-the stats table shows aggregate CPU time next to wall time (their ratio
-is the realized parallel speedup).
+per-file seconds feed the ``batch.file_seconds`` histogram so the stats
+table shows aggregate CPU time next to wall time (their ratio is the
+realized parallel speedup).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import glob as glob_mod
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..diag import Diagnostic, Severity
 from ..obs import get_recorder
@@ -189,33 +198,136 @@ def discover(inputs: Sequence[str]) -> List[str]:
     return unique
 
 
-def _read_error_report(source: str, message: str) -> Report:
-    return Report(
-        source=source,
-        diagnostics=[
-            Diagnostic(
-                code="read-error",
-                message=message,
-                severity=Severity.ERROR,
-                always=True,
-            )
-        ],
+@dataclass(frozen=True)
+class BatchKind:
+    """What a batch run computes per file, and how its results are
+    cached and replaced when a file cannot be computed.
+
+    :func:`run_kind` owns everything else (discover, read, cache, pool,
+    retry, quarantine) and knows no kind in particular.  A kind crosses
+    the process-pool boundary with every file, so its callables must be
+    module-level functions.
+    """
+
+    #: counter prefix (``batch`` -> ``batch.cache.hit`` ...)
+    prefix: str
+    #: span around one whole run
+    span: str
+    #: ``(source, config, budget=None) -> dict``; ``budget`` replaces
+    #: ``config.budget()`` (the tightened retry passes one)
+    compute: Callable[..., dict]
+    #: ``(source, config) -> str``: the cache key
+    key: Callable[[str, BatchConfig], str]
+    #: payload schema version a cache entry must carry
+    schema: int
+    #: the result class (:class:`Report` or ``OptimizePlan``): its
+    #: ``from_dict`` / ``to_dict`` and ``degraded``
+    result: type
+    #: ``message -> dict``: the stand-in for an unreadable file
+    read_error: Callable[[str], dict]
+    #: ``(source, cause, retry_exc) -> dict``: the stand-in for a file
+    #: whose tightened retry failed too
+    quarantine: Callable[[str, BaseException, BaseException], dict]
+
+
+class Outcome(NamedTuple):
+    """One file of a :func:`run_kind` run."""
+
+    path: str
+    value: Any
+    cached: bool = False
+    seconds: float = 0.0
+    quarantined: bool = False
+
+
+def analyze_source(
+    source: str, config: BatchConfig, budget: Optional[ResourceBudget] = None
+) -> dict:
+    """Analyze one script and return its serialized report."""
+    return analyze(
+        source,
+        budget=budget if budget is not None else config.budget(),
+        **config.analyze_kwargs(),
+    ).to_dict()
+
+
+def _analysis_key(source: str, config: BatchConfig) -> str:
+    return cache_key(source, config.fingerprint())
+
+
+def _read_error_report(message: str) -> dict:
+    diagnostic = Diagnostic(
+        code="read-error", message=message, severity=Severity.ERROR, always=True
     )
+    return Report(source="", diagnostics=[diagnostic]).to_dict()
 
 
-def analyze_source(source: str, config: BatchConfig) -> dict:
-    """Analyze one script and return its serialized report (the worker
-    body; module-level so it pickles across the pool boundary)."""
-    return analyze(source, budget=config.budget(), **config.analyze_kwargs()).to_dict()
+def _quarantined_report(
+    source: str, cause: BaseException, retry: BaseException
+) -> dict:
+    return Report(
+        source=source, diagnostics=[quarantine_diagnostic(cause, retry)]
+    ).to_dict()
+
+
+ANALYZE = BatchKind(
+    prefix="batch",
+    span="batch.run",
+    compute=analyze_source,
+    key=_analysis_key,
+    schema=Report.SCHEMA_VERSION,
+    result=Report,
+    read_error=_read_error_report,
+    quarantine=_quarantined_report,
+)
+
+
+def run_cached(
+    kind: BatchKind,
+    source: str,
+    config: BatchConfig,
+    cache: Optional[ResultCache],
+) -> Tuple[dict, bool]:
+    """One script through ``kind`` behind the result cache:
+    ``(data, cached)``.  A hit is the stored dict as is; a fresh result
+    is round-tripped through ``kind.result`` like the batch driver's, so
+    both render identically."""
+    rec = get_recorder()
+    key = kind.key(source, config)
+    data = _lookup(kind, cache, key, rec)
+    if data is not None:
+        return data, True
+    data = kind.compute(source, config)
+    value = kind.result.from_dict(data)
+    _store(kind, cache, key, data, value, rec)
+    return value.to_dict(), False
+
+
+def _lookup(kind: BatchKind, cache, key: str, rec) -> Optional[dict]:
+    if cache is None:
+        return None
+    data = cache.get(key, schema=kind.schema)
+    rec.count(f"{kind.prefix}.cache.{'miss' if data is None else 'hit'}")
+    return data
+
+
+def _store(kind: BatchKind, cache, key: str, data: dict, value, rec) -> None:
+    # incomplete results must not poison the cache: a cold rerun has to
+    # recompute them from scratch
+    if cache is not None and not value.degraded and cache.put(key, data):
+        rec.count(f"{kind.prefix}.cache.store")
 
 
 def _pool_worker(item: Tuple) -> Tuple[str, dict, float, Optional[dict]]:
-    """Pool body: analyze one file; when the parent's recorder is live
-    (``traced``), capture the worker-side metrics in a fresh recorder
-    and ship the snapshot back as a dict (snapshots are the only metric
-    type that crosses the process boundary — recorders don't pickle)."""
+    """Pool body: compute one file ``(path, source, config[, traced[,
+    kind]])``, the analyze kind by default.  When the parent's recorder
+    is live (``traced``), capture the worker-side metrics in a fresh
+    recorder and ship the snapshot back as a dict (snapshots are the
+    only metric type that crosses the process boundary — recorders
+    don't pickle)."""
     path, source, config = item[:3]
     traced = item[3] if len(item) > 3 else False
+    kind = item[4] if len(item) > 4 else ANALYZE
     if os.environ.get("REPRO_CHAOS"):
         # chaos plans ride the environment into pool workers (pickling
         # is by name, so parent-side monkeypatching can't reach here);
@@ -226,13 +338,13 @@ def _pool_worker(item: Tuple) -> Tuple[str, dict, float, Optional[dict]]:
             os._exit(137)
     started = time.perf_counter()
     if not traced:
-        data = analyze_source(source, config)
+        data = kind.compute(source, config)
         return path, data, time.perf_counter() - started, None
     from ..obs import TraceRecorder, use_thread_recorder
 
     recorder = TraceRecorder()
     with use_thread_recorder(recorder):
-        data = analyze_source(source, config)
+        data = kind.compute(source, config)
     seconds = time.perf_counter() - started
     return path, data, seconds, recorder.snapshot().to_dict()
 
@@ -245,125 +357,101 @@ def _make_pool(jobs: int):
     return futures.ProcessPoolExecutor(max_workers=jobs)
 
 
-def run_batch(
+def run_kind(
+    kind: BatchKind,
     inputs: Sequence[str],
     config: Optional[BatchConfig] = None,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     pool=None,
-) -> BatchResult:
-    """Analyze every script reachable from ``inputs``.
+) -> Tuple[List[Outcome], int]:
+    """Compute ``kind`` for every script reachable from ``inputs``:
+    ``(outcomes in input order, files computed)``.
 
     ``jobs=None`` means ``os.cpu_count()``; ``cache=None`` disables
     caching.  ``pool`` is an optional *persistent* process-pool executor
-    (the analysis server's): it is used instead of a per-batch pool and
-    left open for the caller to reuse and eventually shut down.  Reports always round-trip through
-    ``Report.from_dict(...to_dict())`` — the pool and the cache both
-    traffic in the serialized form — so cold, warm, parallel, and serial
-    runs render identically.
+    (the analysis server's): it is used instead of a per-run pool and
+    left open for the caller to reuse and eventually shut down.  Results
+    are always decoded from their serialized form — the pool and the
+    cache both traffic in it — so cold, warm, parallel, and serial runs
+    render identically.
     """
     config = config if config is not None else BatchConfig()
     if jobs is None:
         jobs = os.cpu_count() or 1
     rec = get_recorder()
-    paths = discover(inputs)
-    fingerprint = config.fingerprint()
-
-    batch = BatchResult()
-    slots: List[Optional[FileResult]] = []
+    prefix = kind.prefix
+    slots: List[Optional[Outcome]] = []
     pending: List[Tuple[int, str, str, str]] = []  # (slot, path, source, key)
 
-    with rec.span("batch.run"):
-        for path in paths:
-            rec.count("batch.files")
+    with rec.span(kind.span):
+        for path in discover(inputs):
+            rec.count(f"{prefix}.files")
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     source = handle.read()
             except OSError as exc:
-                slots.append(
-                    FileResult(path=path, report=_read_error_report("", str(exc)))
-                )
+                stand_in = kind.result.from_dict(kind.read_error(str(exc)))
+                slots.append(Outcome(path, stand_in))
                 continue
-            key = cache_key(source, fingerprint)
-            if cache is not None:
-                data = cache.get(key)
-                if data is not None:
-                    rec.count("batch.cache.hit")
-                    slots.append(
-                        FileResult(
-                            path=path,
-                            report=Report.from_dict(data),
-                            cached=True,
-                        )
-                    )
-                    continue
-                rec.count("batch.cache.miss")
+            key = kind.key(source, config)
+            data = _lookup(kind, cache, key, rec)
+            if data is not None:
+                slots.append(Outcome(path, kind.result.from_dict(data), cached=True))
+                continue
             slots.append(None)
             pending.append((len(slots) - 1, path, source, key))
 
         for (slot, path, _, key), (data, seconds, quarantined) in zip(
-            pending, _drain(pending, config, jobs, rec, pool=pool)
+            pending, _drain(kind, pending, config, jobs, rec, pool)
         ):
-            report = Report.from_dict(data)
-            # incomplete results must not poison the cache: a cold rerun
-            # has to re-analyze them from scratch
-            cacheable = not quarantined and not report.degraded
-            if cache is not None and cacheable and cache.put(key, data):
-                rec.count("batch.cache.store")
-            rec.observe("batch.file_seconds", seconds)
-            slots[slot] = FileResult(
-                path=path,
-                report=report,
-                cached=False,
-                seconds=seconds,
-                quarantined=quarantined,
-            )
+            value = kind.result.from_dict(data)
+            if not quarantined:
+                _store(kind, cache, key, data, value, rec)
+            rec.observe(f"{prefix}.file_seconds", seconds)
+            slots[slot] = Outcome(path, value, False, seconds, quarantined)
 
-    batch.results = [r for r in slots if r is not None]
-    batch.hits = sum(1 for r in batch.results if r.cached)
-    batch.misses = sum(
-        1 for r in batch.results
-        if not r.cached and not r.report.has("read-error")
-    )
-    return batch
+    return [outcome for outcome in slots if outcome is not None], len(pending)
 
 
 def _drain(
+    kind: BatchKind,
     pending: List[Tuple[int, str, str, str]],
     config: BatchConfig,
     jobs: int,
     rec,
     pool=None,
 ) -> Iterator[Tuple[dict, float, bool]]:
-    """Yield ``(report_dict, seconds, quarantined)`` for every pending
-    file in input order, using a process pool when it pays off and
-    falling back to inline analysis when pools are unavailable
-    (restricted sandboxes)."""
+    """Yield ``(data, seconds, quarantined)`` for every pending file in
+    input order, using a process pool when it pays off and falling back
+    to inline computation when pools are unavailable (restricted
+    sandboxes)."""
     if not pending:
         return
     if pool is not None or (jobs > 1 and len(pending) > 1):
         try:
-            results = _drain_pool(pending, config, jobs, rec, pool=pool)
+            results = _drain_pool(kind, pending, config, jobs, rec, pool)
         except (OSError, ImportError, RuntimeError):
             # no multiprocessing in this environment (sandboxed /dev/shm,
             # missing semaphores, broken pool): degrade to inline
-            rec.count("batch.pool_unavailable")
+            rec.count(f"{kind.prefix}.pool_unavailable")
         else:
             yield from results
             return
-    for _, path, source, _ in pending:
+    for _, _, source, _ in pending:
         started = time.perf_counter()
-        with rec.span("batch.file"):
+        with rec.span(f"{kind.prefix}.file"):
             try:
-                data = analyze_source(source, config)
+                data = kind.compute(source, config)
             except Exception as exc:  # noqa: BLE001 — per-file isolation
-                rec.count("batch.worker_failures")
-                yield _retry_inline(path, source, config, rec, exc)
+                rec.count(f"{kind.prefix}.worker_failures")
+                yield _retry_inline(kind, source, config, rec, exc)
                 continue
         yield data, time.perf_counter() - started, False
 
 
 def _drain_pool(
+    kind: BatchKind,
     pending: List[Tuple[int, str, str, str]],
     config: BatchConfig,
     jobs: int,
@@ -382,15 +470,15 @@ def _drain_pool(
     executor = _make_pool(jobs) if own_pool else pool
     try:
         futures = [
-            executor.submit(_pool_worker, (path, source, config, rec.enabled))
+            executor.submit(_pool_worker, (path, source, config, rec.enabled, kind))
             for _, path, source, _ in pending
         ]
-        for future, (_, path, source, _) in zip(futures, pending):
+        for future, (_, _, source, _) in zip(futures, pending):
             try:
                 _, data, seconds, worker_metrics = future.result()
             except Exception as exc:  # noqa: BLE001 — BrokenProcessPool et al.
-                rec.count("batch.worker_failures")
-                results.append(_retry_inline(path, source, config, rec, exc))
+                rec.count(f"{kind.prefix}.worker_failures")
+                results.append(_retry_inline(kind, source, config, rec, exc))
             else:
                 if worker_metrics:
                     from ..obs import MetricsSnapshot
@@ -404,26 +492,36 @@ def _drain_pool(
 
 
 def _retry_inline(
-    path: str,
+    kind: BatchKind,
     source: str,
     config: BatchConfig,
     rec,
     cause: BaseException,
 ) -> Tuple[dict, float, bool]:
     """Second (and last) chance for a file whose first attempt crashed:
-    re-analyze inline under a tightened budget; quarantine on failure."""
-    rec.count("batch.retries")
+    recompute inline under a tightened budget; quarantine on failure."""
+    rec.count(f"{kind.prefix}.retries")
     budget = config.budget() or ResourceBudget()
     started = time.perf_counter()
     try:
-        data = analyze(
-            source, budget=budget.tightened(), **config.analyze_kwargs()
-        ).to_dict()
+        data = kind.compute(source, config, budget.tightened())
     except Exception as retry_exc:  # noqa: BLE001 — quarantine, don't abort
-        rec.count("batch.quarantined")
-        report = Report(
-            source=source,
-            diagnostics=[quarantine_diagnostic(cause, retry_exc)],
-        )
-        return report.to_dict(), time.perf_counter() - started, True
+        rec.count(f"{kind.prefix}.quarantined")
+        data = kind.quarantine(source, cause, retry_exc)
+        return data, time.perf_counter() - started, True
     return data, time.perf_counter() - started, False
+
+
+def run_batch(
+    inputs: Sequence[str],
+    config: Optional[BatchConfig] = None,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    pool=None,
+) -> BatchResult:
+    """Analyze every script reachable from ``inputs`` (see
+    :func:`run_kind` for the parameters)."""
+    outcomes, misses = run_kind(ANALYZE, inputs, config, jobs, cache, pool)
+    results = [FileResult(*outcome) for outcome in outcomes]
+    hits = sum(1 for result in results if result.cached)
+    return BatchResult(results=results, hits=hits, misses=misses)

@@ -20,8 +20,6 @@ fail the gate are reported under ``rejected`` with the evidence.
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,9 +35,10 @@ from ...shell.ast import (
 )
 from ...shell.printer import render
 from ..analyzer import analyze
-from ..batch import BatchConfig, _make_pool, discover
+from ..batch import BatchConfig, BatchKind, run_kind
 from ..cache import ResultCache, cache_key
 from ..deps import _top_level_commands, analyze_dependencies
+from ..resilience import ResourceBudget, quarantine_diagnostic
 from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import PLAN_SCHEMA_VERSION, OptimizePlan, ReorderGroup
 
@@ -140,14 +139,14 @@ def _race_keys(report) -> Counter:
 
 
 def _verify(
-    rewritten: str, config: BatchConfig, baseline_keys: Counter, rec
+    rewritten: str, config: BatchConfig, budget, baseline_keys: Counter, rec
 ) -> Tuple[bool, Counter]:
     """Run the race detector over the rewritten script; safe iff zero
     hazards beyond the original's and the analysis fully completed."""
     rec.count("optimize.cross_checks")
     kwargs = config.analyze_kwargs()
     kwargs["races"] = True
-    report = analyze(rewritten, budget=config.budget(), **kwargs)
+    report = analyze(rewritten, budget=budget, **kwargs)
     new = _race_keys(report) - baseline_keys
     return (not new and not report.degraded), new
 
@@ -168,14 +167,21 @@ def _rejection_reason(new_hazards: Counter) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_plan(source: str, config: Optional[BatchConfig] = None) -> OptimizePlan:
+def build_plan(
+    source: str,
+    config: Optional[BatchConfig] = None,
+    budget: Optional[ResourceBudget] = None,
+) -> OptimizePlan:
     """The full optimization plan for one script.
 
-    Budget exhaustion (``config.timeout`` / ``config.max_states``)
-    degrades the plan — dependence edges past the trip point go
-    conservative and the plan is marked — rather than raising.
+    Budget exhaustion (``config.timeout`` / ``config.max_states``, or
+    ``budget`` when given) degrades the plan — dependence edges past the
+    trip point go conservative and the plan is marked — rather than
+    raising.  Every analysis the plan runs re-arms the budget.
     """
     config = config if config is not None else BatchConfig()
+    if budget is None:
+        budget = config.budget()
     rec = get_recorder()
     plan = OptimizePlan(
         source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest()
@@ -185,7 +191,7 @@ def build_plan(source: str, config: Optional[BatchConfig] = None) -> OptimizePla
 
         with rec.span("optimize.deps"):
             graph = analyze_dependencies(
-                source, n_args=config.n_args or 0, budget=config.budget()
+                source, n_args=config.n_args or 0, budget=budget
             )
         plan.degraded = graph.degraded
         plan.degraded_reason = graph.degraded_reason
@@ -230,7 +236,7 @@ def build_plan(source: str, config: Optional[BatchConfig] = None) -> OptimizePla
 
         with rec.span("optimize.verify"):
             kept = _gate_candidates(
-                source, nodes, plan, candidates, config, rec
+                source, nodes, plan, candidates, config, budget, rec
             )
 
         for gen_index in sorted(kept):
@@ -260,6 +266,7 @@ def _gate_candidates(
     plan: OptimizePlan,
     candidates: Dict[int, List[int]],
     config: BatchConfig,
+    budget,
     rec,
 ) -> Dict[int, List[int]]:
     """The safety gate: accept the whole rewrite if it's clean, else
@@ -268,7 +275,7 @@ def _gate_candidates(
         return {}
     kwargs = config.analyze_kwargs()
     kwargs["races"] = True
-    baseline = analyze(source, budget=config.budget(), **kwargs)
+    baseline = analyze(source, budget=budget, **kwargs)
     baseline_keys = _race_keys(baseline)
     if baseline.degraded:
         plan.degraded = True
@@ -280,7 +287,7 @@ def _gate_candidates(
         return {}
 
     full = _synthesize(nodes, plan.schedule, candidates)
-    ok, _ = _verify(full, config, baseline_keys, rec)
+    ok, _ = _verify(full, config, budget, baseline_keys, rec)
     if ok:
         return candidates
 
@@ -288,14 +295,14 @@ def _gate_candidates(
     for gen_index in sorted(candidates):
         group = candidates[gen_index]
         alone = _synthesize(nodes, plan.schedule, {gen_index: group})
-        ok, new = _verify(alone, config, baseline_keys, rec)
+        ok, new = _verify(alone, config, budget, baseline_keys, rec)
         if ok:
             kept[gen_index] = group
         else:
             _reject(plan, rec, group, _rejection_reason(new))
     if kept:
         combined = _synthesize(nodes, plan.schedule, kept)
-        ok, new = _verify(combined, config, baseline_keys, rec)
+        ok, new = _verify(combined, config, budget, baseline_keys, rec)
         if not ok:
             for gen_index in sorted(kept):
                 _reject(
@@ -315,12 +322,16 @@ def _reject(plan: OptimizePlan, rec, group: List[int], reason: str) -> None:
     plan.rejected.append({"commands": list(group), "reason": reason})
 
 
-def optimize_source(source: str, config: Optional[BatchConfig] = None) -> dict:
-    """One script's serialized plan; never raises (the worker body —
-    module-level so it pickles across the pool boundary)."""
+def optimize_source(
+    source: str,
+    config: Optional[BatchConfig] = None,
+    budget: Optional[ResourceBudget] = None,
+) -> dict:
+    """One script's serialized plan; never raises (the optimize kind's
+    computation — module-level so it pickles across the pool boundary)."""
     config = config if config is not None else BatchConfig()
     try:
-        return build_plan(source, config).to_dict()
+        return build_plan(source, config, budget).to_dict()
     except Exception as exc:  # noqa: BLE001 — per-file isolation
         plan = OptimizePlan(
             source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
@@ -331,8 +342,32 @@ def optimize_source(source: str, config: Optional[BatchConfig] = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# batch driver (mirrors analysis.batch, trafficking in plan dicts)
+# the optimize kind of the batch driver
 # ---------------------------------------------------------------------------
+
+
+def _read_error_plan(message: str) -> dict:
+    return OptimizePlan(degraded=True, degraded_reason=f"read error: {message}").to_dict()
+
+
+def _quarantined_plan(source: str, cause: BaseException, retry: BaseException) -> dict:
+    return OptimizePlan(
+        source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        degraded=True,
+        degraded_reason=quarantine_diagnostic(cause, retry).message,
+    ).to_dict()
+
+
+OPTIMIZE = BatchKind(
+    prefix="optimize",
+    span="optimize.batch",
+    compute=optimize_source,
+    key=plan_cache_key,
+    schema=PLAN_SCHEMA_VERSION,
+    result=OptimizePlan,
+    read_error=_read_error_plan,
+    quarantine=_quarantined_plan,
+)
 
 
 @dataclass
@@ -341,6 +376,8 @@ class OptimizeFileResult:
     plan: OptimizePlan
     cached: bool = False
     seconds: float = 0.0
+    #: the worker died and the tightened inline retry failed too
+    quarantined: bool = False
 
 
 @dataclass
@@ -376,111 +413,18 @@ class OptimizeBatchResult:
         return "\n\n".join(blocks)
 
 
-def _optimize_pool_worker(item: Tuple[str, str, BatchConfig]) -> Tuple[str, dict, float]:
-    path, source, config = item
-    started = time.perf_counter()
-    data = optimize_source(source, config)
-    return path, data, time.perf_counter() - started
-
-
 def run_optimize_batch(
     inputs: Sequence[str],
     config: Optional[BatchConfig] = None,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
+    pool=None,
 ) -> OptimizeBatchResult:
     """Plan every script reachable from ``inputs`` (files, directories,
-    globs), consulting the plan cache and fanning cold files out to a
-    process pool.  Plans always round-trip through
-    ``OptimizePlan.from_dict(...to_dict())`` so cached, pooled, and
-    inline runs render identically."""
-    config = config if config is not None else BatchConfig()
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    rec = get_recorder()
-    batch = OptimizeBatchResult()
-    slots: List[Optional[OptimizeFileResult]] = []
-    pending: List[Tuple[int, str, str, str]] = []  # (slot, path, source, key)
-
-    with rec.span("optimize.batch"):
-        for path in discover(inputs):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                plan = OptimizePlan(
-                    degraded=True, degraded_reason=f"read error: {exc}"
-                )
-                slots.append(OptimizeFileResult(path=path, plan=plan))
-                continue
-            key = plan_cache_key(source, config)
-            if cache is not None:
-                data = cache.get(key, schema=PLAN_SCHEMA_VERSION)
-                if data is not None:
-                    rec.count("optimize.cache.hit")
-                    slots.append(
-                        OptimizeFileResult(
-                            path=path,
-                            plan=OptimizePlan.from_dict(data),
-                            cached=True,
-                        )
-                    )
-                    continue
-                rec.count("optimize.cache.miss")
-            slots.append(None)
-            pending.append((len(slots) - 1, path, source, key))
-
-        for (slot, path, _, key), (data, seconds) in zip(
-            pending, _drain(pending, config, jobs, rec)
-        ):
-            plan = OptimizePlan.from_dict(data)
-            if cache is not None and not plan.degraded and cache.put(key, data):
-                rec.count("optimize.cache.store")
-            slots[slot] = OptimizeFileResult(
-                path=path, plan=plan, cached=False, seconds=seconds
-            )
-
-    batch.results = [result for result in slots if result is not None]
-    batch.hits = sum(1 for result in batch.results if result.cached)
-    batch.misses = len(batch.results) - batch.hits
-    return batch
-
-
-def _drain(pending, config: BatchConfig, jobs: int, rec):
-    """Yield ``(plan_dict, seconds)`` per pending file in input order;
-    pool when it pays off, inline in pool-hostile sandboxes."""
-    if not pending:
-        return
-    if jobs > 1 and len(pending) > 1:
-        try:
-            results = _drain_pool(pending, config, jobs)
-        except (OSError, ImportError, RuntimeError):
-            rec.count("optimize.pool_unavailable")
-        else:
-            yield from results
-            return
-    for _, _, source, _ in pending:
-        started = time.perf_counter()
-        data = optimize_source(source, config)
-        yield data, time.perf_counter() - started
-
-
-def _drain_pool(pending, config: BatchConfig, jobs: int):
-    results: List[Tuple[dict, float]] = []
-    executor = _make_pool(jobs)
-    try:
-        futures = [
-            executor.submit(_optimize_pool_worker, (path, source, config))
-            for _, path, source, _ in pending
-        ]
-        for future, (_, path, source, _) in zip(futures, pending):
-            try:
-                _, data, seconds = future.result()
-            except Exception:  # noqa: BLE001 — dead worker loses one file
-                started = time.perf_counter()
-                data = optimize_source(source, config)
-                seconds = time.perf_counter() - started
-            results.append((data, seconds))
-    finally:
-        executor.shutdown()
-    return results
+    globs) through the batch driver (:func:`~..batch.run_kind`): plan
+    cache, process pool, tightened retry and quarantine, exactly as
+    :func:`~..batch.run_batch` analyzes them."""
+    outcomes, misses = run_kind(OPTIMIZE, inputs, config, jobs, cache, pool)
+    results = [OptimizeFileResult(*outcome) for outcome in outcomes]
+    hits = sum(1 for result in results if result.cached)
+    return OptimizeBatchResult(results=results, hits=hits, misses=misses)

@@ -82,18 +82,19 @@ def _observed(prog: str, options: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# repro-analyze
+# repro-analyze / repro-optimize: one run path, inline or via the daemon
 # ---------------------------------------------------------------------------
 
+#: kind -> (program name, what its inline fallback does)
+_PROGRAMS = {
+    "analyze": ("repro-analyze", "analyzing"),
+    "optimize": ("repro-optimize", "planning"),
+}
 
-def main_analyze(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-analyze",
-        description="Ahead-of-time semantics-driven analysis of a shell script.",
-        epilog="exit status: 0 clean; 1 definite incorrectness found; "
-        "2 no scripts found; 3 completed, but some analysis was degraded "
-        "(budget exhausted, component crash, or quarantined file)",
-    )
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Inputs, argv model, --server and its fallback knobs, batch and
+    cache options, and budgets: what analyze and optimize both take."""
     parser.add_argument(
         "script",
         nargs="+",
@@ -117,13 +118,10 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         "unknown argv",
     )
     parser.add_argument(
-        "--platforms", nargs="*", default=None, help="deployment platforms to check"
-    )
-    parser.add_argument(
         "--server",
         action="store_true",
         help="use a running repro-served daemon when available (falls back "
-        "to inline analysis when none is listening)",
+        "to running inline when none is listening)",
     )
     parser.add_argument(
         "--socket",
@@ -132,111 +130,14 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         help="analysis-server socket (default: $REPRO_SERVER_SOCKET or a "
         "per-user runtime path)",
     )
-    _add_server_resilience_flags(parser)
-    parser.add_argument("--lint", action="store_true", help="also run the syntactic baseline")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="batch mode: analyze up to N files in parallel "
-        "(default: the machine's CPU count)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="batch mode: persistent result cache location "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/analysis)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="batch mode: re-analyze every file, ignoring the cache",
-    )
-    parser.add_argument(
-        "--races",
-        action="store_true",
-        dest="races",
-        default=True,
-        help="run the effect-graph hazard analysis (default)",
-    )
-    parser.add_argument(
-        "--no-races",
-        action="store_false",
-        dest="races",
-        help="skip the effect-graph hazard analysis",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-file wall-clock budget; on expiry the file gets a partial "
-        "report with an analysis-degraded note instead of hanging",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file symbolic evaluation-step budget (degrades like --timeout)",
-    )
-    parser.add_argument(
-        "--errors-only", action="store_true", help="show only definite errors"
-    )
-    _add_common_flags(parser)
-    options = parser.parse_args(argv)
-
-    from .diag import Severity
-
-    min_severity = Severity.ERROR if options.errors_only else Severity.INFO
-    inputs = options.script
-    batch_mode = len(inputs) > 1 or (
-        inputs[0] != "-" and not os.path.isfile(inputs[0])
-    )
-    if batch_mode:
-        return _analyze_batch(options, inputs, min_severity)
-
-    from .analysis import analyze
-    from .analysis.resilience import ResourceBudget
-
-    source = _read_script(inputs[0])
-    with _observed("repro-analyze", options):
-        report = None
-        if options.server:
-            report = _analyze_via_server(options, source)
-        if report is None:
-            budget = None
-            if options.timeout is not None or options.max_states is not None:
-                budget = ResourceBudget(
-                    deadline=options.timeout, max_states=options.max_states
-                )
-            report = analyze(
-                source,
-                n_args=options.n_args,
-                args=options.args,
-                platform_targets=options.platforms,
-                include_lint=options.lint,
-                races=options.races,
-                budget=budget,
-            )
-    print(report.render(min_severity=min_severity))
-    if report.unsafe:
-        return 1
-    return 3 if report.degraded else 0
-
-
-def _add_server_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """--server failure-handling knobs shared by analyze/optimize."""
     parser.add_argument(
         "--server-timeout",
         type=float,
         default=None,
         metavar="SECS",
         help="server read timeout: give up on a server answer after this "
-        "long and fall back to inline analysis (default: 60s; pings always "
-        "use a short probe deadline)",
+        "long and fall back inline (default: 60s; pings always use a short "
+        "probe deadline)",
     )
     parser.add_argument(
         "--server-retries",
@@ -246,27 +147,42 @@ def _add_server_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help="retry a daemon lost mid-request up to N times with jittered "
         "exponential backoff before falling back inline (default: 2)",
     )
-
-
-def _server_client(options: argparse.Namespace):
-    """A ServerClient shaped by the --server-* flags."""
-    from .server import ServerClient
-    from .server.client import RetryPolicy
-
-    kwargs = {}
-    timeout = getattr(options, "server_timeout", None)
-    if timeout is not None:
-        kwargs["read_timeout"] = timeout
-    retries = getattr(options, "server_retries", None)
-    if retries is not None:
-        kwargs["retry"] = RetryPolicy(retries=max(0, retries))
-    return ServerClient(options.socket, **kwargs)
-
-
-def _note_inline_fallback() -> None:
-    from .obs import get_recorder
-
-    get_recorder().count("server.client.inline_fallback")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="batch mode: process up to N files in parallel "
+        "(default: the machine's CPU count)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persistent result cache location, shared by reports and plans "
+        "(batch default: $REPRO_CACHE_DIR or ~/.cache/repro/analysis; a "
+        "single file is cached only when this is given)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="recompute every file, ignoring the cache",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECS",
+        help="per-file wall-clock budget; on expiry the file gets a partial, "
+        "degraded result instead of hanging",
+    )
+    parser.add_argument(
+        "--max-states",
+        type=int,
+        default=None,
+        metavar="N",
+        help="per-file symbolic evaluation-step budget (degrades like --timeout)",
+    )
 
 
 def _batch_config(options: argparse.Namespace):
@@ -283,36 +199,89 @@ def _batch_config(options: argparse.Namespace):
     )
 
 
-def _analyze_via_server(options: argparse.Namespace, source: str):
-    """One script via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
+def _is_batch(inputs: List[str]) -> bool:
+    return len(inputs) > 1 or (inputs[0] != "-" and not os.path.isfile(inputs[0]))
 
+
+def _via_server(kind: str, options: argparse.Namespace, call):
+    """``call(client)`` against the daemon when ``--server`` asks for
+    it; None means run inline (no ``--server``, or no daemon answered,
+    which prints one notice and counts ``server.client.inline_fallback``)."""
+    if not options.server:
+        return None
+    from .server import ServerClient, ServerError, ServerUnavailable
+    from .server.client import RetryPolicy
+
+    kwargs = {}
+    if options.server_timeout is not None:
+        kwargs["read_timeout"] = options.server_timeout
+    if options.server_retries is not None:
+        kwargs["retry"] = RetryPolicy(retries=max(0, options.server_retries))
     try:
-        with _server_client(options) as client:
-            report = client.analyze_source(source, _batch_config(options))
+        with ServerClient(options.socket, **kwargs) as client:
+            result = call(client)
             if options.stats:
                 _print_server_stats(client)
-            return report
+            return result
     except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-analyze: {exc}; analyzing inline", file=sys.stderr)
+        from .obs import get_recorder
+
+        get_recorder().count("server.client.inline_fallback")
+        prog, doing = _PROGRAMS[kind]
+        print(f"{prog}: {exc}; {doing} inline", file=sys.stderr)
         return None
 
 
-def _batch_via_server(options: argparse.Namespace, inputs: List[str]):
-    """A corpus via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
+def _run_one(kind: str, options: argparse.Namespace):
+    """One script's Report (or OptimizePlan), via the daemon or inline;
+    inline runs are cached only under an explicit ``--cache-dir``."""
+    from .analysis import ResultCache
+    from .analysis.batch import ANALYZE, run_cached
+    from .analysis.optimize.advisor import OPTIMIZE, OptimizePlan
 
-    try:
-        with _server_client(options) as client:
-            batch = client.batch(inputs, _batch_config(options))
-            if options.stats:
-                _print_server_stats(client)
-            return batch
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-analyze: {exc}; analyzing inline", file=sys.stderr)
+    source = _read_script(options.script[0])
+    config = _batch_config(options)
+    if kind == "analyze":
+        batch_kind = ANALYZE
+
+        def served(client):
+            return client.analyze_source(source, config)
+    else:
+        batch_kind = OPTIMIZE
+
+        def served(client):
+            return OptimizePlan.from_dict(client.optimize_source(source, config))
+
+    with _observed(_PROGRAMS[kind][0], options):
+        result = _via_server(kind, options, served)
+        if result is None:
+            use_cache = options.cache_dir and not options.no_cache
+            cache = ResultCache(options.cache_dir) if use_cache else None
+            data, _ = run_cached(batch_kind, source, config, cache)
+            result = batch_kind.result.from_dict(data)
+    return result
+
+
+def _run_batch(kind: str, options: argparse.Namespace):
+    """Every script reachable from the inputs, via the daemon's batch op
+    or the inline batch driver; None when there were no scripts."""
+    from .analysis import ResultCache, run_batch, run_optimize_batch
+
+    prog = _PROGRAMS[kind][0]
+    inputs = options.script
+    config = _batch_config(options)
+    with _observed(prog, options):
+        batch = _via_server(
+            kind, options, lambda client: client.batch(inputs, config, kind=kind)
+        )
+        if batch is None:
+            run = run_batch if kind == "analyze" else run_optimize_batch
+            cache = None if options.no_cache else ResultCache(options.cache_dir)
+            batch = run(inputs, config=config, jobs=options.jobs, cache=cache)
+    if not batch.results:
+        print(f"{prog}: no scripts found", file=sys.stderr)
         return None
+    return batch
 
 
 def _print_server_stats(client) -> None:
@@ -336,30 +305,50 @@ def _print_server_stats(client) -> None:
             print(f"  {name} {'.' * max(2, 42 - len(name))} {counters[name]}", file=sys.stderr)
 
 
-def _analyze_batch(options: argparse.Namespace, inputs: List[str], min_severity) -> int:
-    from .analysis import ResultCache, run_batch
+def main_analyze(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro-analyze",
+        description="Ahead-of-time semantics-driven analysis of a shell script.",
+        epilog="exit status: 0 clean; 1 definite incorrectness found; "
+        "2 no scripts found; 3 completed, but some analysis was degraded "
+        "(budget exhausted, component crash, or quarantined file)",
+    )
+    _add_run_flags(parser)
+    parser.add_argument(
+        "--platforms", nargs="*", default=None, help="deployment platforms to check"
+    )
+    parser.add_argument("--lint", action="store_true", help="also run the syntactic baseline")
+    parser.add_argument(
+        "--races",
+        action="store_true",
+        dest="races",
+        default=True,
+        help="run the effect-graph hazard analysis (default)",
+    )
+    parser.add_argument(
+        "--no-races",
+        action="store_false",
+        dest="races",
+        help="skip the effect-graph hazard analysis",
+    )
+    parser.add_argument(
+        "--errors-only", action="store_true", help="show only definite errors"
+    )
+    _add_common_flags(parser)
+    options = parser.parse_args(argv)
 
-    with _observed("repro-analyze", options):
-        batch = None
-        if options.server:
-            batch = _batch_via_server(options, inputs)
-        if batch is None:
-            cache = None if options.no_cache else ResultCache(options.cache_dir)
-            batch = run_batch(
-                inputs, config=_batch_config(options), jobs=options.jobs, cache=cache
-            )
-    if not batch.results:
-        print("repro-analyze: no scripts found", file=sys.stderr)
-        return 2
-    print(batch.render(min_severity=min_severity))
-    if batch.unsafe:
+    from .diag import Severity
+
+    if _is_batch(options.script):
+        result = _run_batch("analyze", options)
+        if result is None:
+            return 2
+    else:
+        result = _run_one("analyze", options)
+    print(result.render(min_severity=Severity.ERROR if options.errors_only else Severity.INFO))
+    if result.unsafe:
         return 1
-    return 3 if batch.degraded else 0
-
-
-# ---------------------------------------------------------------------------
-# repro-optimize
-# ---------------------------------------------------------------------------
+    return 3 if result.degraded else 0
 
 
 def main_optimize(argv: Optional[List[str]] = None) -> int:
@@ -371,20 +360,7 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
         epilog="exit status: 0 plan emitted; 2 no scripts found; "
         "3 plan degraded (budget exhausted or analysis incomplete)",
     )
-    parser.add_argument(
-        "script",
-        nargs="+",
-        help="script path(s), director(ies), glob pattern(s), or - for stdin; "
-        "more than one input (or a directory/glob) switches to batch mode",
-    )
-    parser.add_argument(
-        "--args",
-        nargs="+",
-        default=None,
-        metavar="ARG",
-        help="concrete positional arguments to plan the script under",
-    )
-    parser.add_argument("--n-args", type=int, default=None, metavar="N")
+    _add_run_flags(parser)
     parser.add_argument(
         "--plan",
         default=None,
@@ -399,202 +375,29 @@ def main_optimize(argv: Optional[List[str]] = None) -> int:
         help="write a Graphviz rendering of the dependence graph with "
         "verified '&'-groups highlighted (single-file mode)",
     )
-    parser.add_argument(
-        "--server",
-        action="store_true",
-        help="use a running repro-served daemon when available (falls back "
-        "to inline planning when none is listening)",
-    )
-    parser.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="analysis-server socket (default: $REPRO_SERVER_SOCKET or a "
-        "per-user runtime path)",
-    )
-    _add_server_resilience_flags(parser)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="batch mode: plan up to N files in parallel",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent plan cache location (shared with the analysis "
-        "result cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-plan every file, ignoring the cache",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-file wall-clock budget; on expiry the plan degrades to a "
-        "partial one instead of hanging",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file symbolic evaluation-step budget (degrades like "
-        "--timeout)",
-    )
     _add_common_flags(parser)
     # fields _batch_config expects but repro-optimize does not expose
     parser.set_defaults(platforms=None, lint=False, races=True)
     options = parser.parse_args(argv)
 
-    inputs = options.script
-    batch_mode = len(inputs) > 1 or (
-        inputs[0] != "-" and not os.path.isfile(inputs[0])
-    )
-    if batch_mode:
-        return _optimize_batch(options, inputs)
-
-    import json
-
-    from .analysis.optimize import OptimizePlan, optimize_source
-
-    source = _read_script(inputs[0])
-    config = _batch_config(options)
-    with _observed("repro-optimize", options):
-        data = None
-        if options.server:
-            data = _optimize_via_server(options, source, config)
-        if data is None and not options.no_cache and options.cache_dir:
-            data = _cached_plan(options.cache_dir, source, config)
-        if data is None:
-            data = optimize_source(source, config)
-    plan = OptimizePlan.from_dict(data)
-    print(plan.render())
+    if _is_batch(options.script):
+        result = _run_batch("optimize", options)
+        if result is None:
+            return 2
+        print(result.render())
+        payload = [{"path": r.path, "plan": r.plan.to_dict()} for r in result.results]
+    else:
+        result = _run_one("optimize", options)
+        print(result.render())
+        payload = result.to_dict()
+        if options.dot:
+            with open(options.dot, "w", encoding="utf-8") as handle:
+                handle.write(result.to_dot())
     if options.plan:
-        with open(options.plan, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if options.dot:
-        with open(options.dot, "w", encoding="utf-8") as handle:
-            handle.write(plan.to_dot())
-    return 3 if plan.degraded else 0
-
-
-def _cached_plan(cache_dir: str, source: str, config):
-    """Single-file plan caching: serve a hit, else compute and store."""
-    from .analysis import ResultCache
-    from .analysis.optimize import (
-        PLAN_SCHEMA_VERSION,
-        optimize_source,
-        plan_cache_key,
-    )
-
-    cache = ResultCache(cache_dir)
-    key = plan_cache_key(source, config)
-    data = cache.get(key, schema=PLAN_SCHEMA_VERSION)
-    if data is not None:
-        return data
-    data = optimize_source(source, config)
-    if not data.get("degraded"):
-        cache.put(key, data)
-    return data
-
-
-def _optimize_via_server(options: argparse.Namespace, source: str, config):
-    """One script's plan via the daemon; None means fall back to inline."""
-    from .server import ServerError, ServerUnavailable
-
-    try:
-        with _server_client(options) as client:
-            data = client.optimize_source(source, config)
-            if options.stats:
-                _print_server_stats(client)
-            return data
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-optimize: {exc}; planning inline", file=sys.stderr)
-        return None
-
-
-def _optimize_batch(options: argparse.Namespace, inputs: List[str]) -> int:
-    import json
-
-    from .analysis import ResultCache
-    from .analysis.optimize import run_optimize_batch
-
-    with _observed("repro-optimize", options):
-        batch = None
-        if options.server:
-            batch = _optimize_batch_via_server(options, inputs)
-        if batch is None:
-            cache = None if options.no_cache else ResultCache(options.cache_dir)
-            batch = run_optimize_batch(
-                inputs,
-                config=_batch_config(options),
-                jobs=options.jobs,
-                cache=cache,
-            )
-    if not batch.results:
-        print("repro-optimize: no scripts found", file=sys.stderr)
-        return 2
-    print(batch.render())
-    if options.plan:
-        payload = [
-            {"path": result.path, "plan": result.plan.to_dict()}
-            for result in batch.results
-        ]
         with open(options.plan, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return 3 if batch.degraded else 0
-
-
-def _optimize_batch_via_server(options: argparse.Namespace, inputs: List[str]):
-    """A corpus planned file-by-file through the daemon's optimize op;
-    None means fall back to inline planning."""
-    from .analysis.batch import discover
-    from .analysis.optimize import (
-        OptimizeBatchResult,
-        OptimizeFileResult,
-        OptimizePlan,
-    )
-    from .server import ServerError, ServerUnavailable
-
-    config = _batch_config(options)
-    try:
-        with _server_client(options) as client:
-            batch = OptimizeBatchResult()
-            for path in discover(inputs):
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        source = handle.read()
-                except OSError as exc:
-                    plan = OptimizePlan(
-                        degraded=True, degraded_reason=f"read error: {exc}"
-                    )
-                    batch.results.append(
-                        OptimizeFileResult(path=path, plan=plan)
-                    )
-                    continue
-                data = client.optimize_source(source, config)
-                batch.results.append(
-                    OptimizeFileResult(
-                        path=path, plan=OptimizePlan.from_dict(data)
-                    )
-                )
-            if options.stats:
-                _print_server_stats(client)
-            return batch
-    except (ServerUnavailable, ServerError) as exc:
-        _note_inline_fallback()
-        print(f"repro-optimize: {exc}; planning inline", file=sys.stderr)
-        return None
+    return 3 if result.degraded else 0
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +603,6 @@ def main_served(argv: Optional[List[str]] = None) -> int:
         help="watch-mode poll interval (default: 1s)",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="watch mode: disable fragment-level incremental re-analysis "
-        "(re-run changed files cold through the batch driver instead)",
-    )
-    parser.add_argument(
         "--log-file",
         default=None,
         metavar="PATH",
@@ -904,7 +701,6 @@ def main_served(argv: Optional[List[str]] = None) -> int:
             ),
             watch=options.watch,
             interval=options.interval,
-            incremental=not options.no_incremental,
             recorder=recorder,
             log=log,
             slow_ms=options.slow_ms if options.slow_ms is not None else DEFAULT_SLOW_MS,

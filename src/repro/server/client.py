@@ -40,10 +40,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.batch import BatchConfig, BatchResult, FileResult
+from ..analysis.optimize import OptimizeBatchResult, OptimizeFileResult, OptimizePlan
 from ..analysis.report import Report
 from ..analysis.resilience import jittered_backoff
 from ..obs import get_recorder
 from . import protocol
+
+#: batch ``kind`` -> (batch result, file result, result class, wire field)
+_BATCH_TYPES = {
+    "analyze": (BatchResult, FileResult, Report, "report"),
+    "optimize": (OptimizeBatchResult, OptimizeFileResult, OptimizePlan, "plan"),
+}
 
 #: connecting to a local Unix socket either works immediately or never
 DEFAULT_CONNECT_TIMEOUT = 5.0
@@ -373,10 +380,15 @@ class ServerClient:
         return result["plan"]
 
     def batch(
-        self, inputs: Sequence[str], config: Optional[BatchConfig] = None
-    ) -> BatchResult:
-        """Batch-analyze files/dirs/globs; returns a BatchResult exactly
-        shaped like :func:`~repro.analysis.batch.run_batch`'s.
+        self,
+        inputs: Sequence[str],
+        config: Optional[BatchConfig] = None,
+        kind: str = "analyze",
+    ):
+        """Batch-analyze (or, with ``kind="optimize"``, batch-plan)
+        files/dirs/globs; returns a result exactly shaped like
+        :func:`~repro.analysis.batch.run_batch`'s ``BatchResult`` (or
+        ``run_optimize_batch``'s ``OptimizeBatchResult``).
 
         Inputs are absolutized first (the daemon resolves paths in *its*
         working directory, which need not be the client's); when every
@@ -387,31 +399,28 @@ class ServerClient:
         result = self.request(
             {
                 "op": "batch",
+                "kind": kind,
                 "inputs": [os.path.abspath(item) for item in inputs],
                 "config": protocol.config_to_wire(config or BatchConfig()),
             }
         )
         cwd = os.getcwd()
         relativize = all(not os.path.isabs(item) for item in inputs)
-
-        def local_path(path: str) -> str:
-            return os.path.relpath(path, cwd) if relativize else path
-
-        batch = BatchResult(
+        batch_type, file_type, decoded, field = _BATCH_TYPES[kind]
+        return batch_type(
             results=[
-                FileResult(
-                    path=local_path(entry["path"]),
-                    report=Report.from_dict(entry["report"]),
-                    cached=entry.get("cached", False),
-                    seconds=entry.get("seconds", 0.0),
-                    quarantined=entry.get("quarantined", False),
+                file_type(
+                    os.path.relpath(entry["path"], cwd) if relativize else entry["path"],
+                    decoded.from_dict(entry[field]),
+                    entry.get("cached", False),
+                    entry.get("seconds", 0.0),
+                    entry.get("quarantined", False),
                 )
                 for entry in result.get("results", [])
             ],
+            hits=result.get("hits", 0),
+            misses=result.get("misses", 0),
         )
-        batch.hits = result.get("hits", 0)
-        batch.misses = result.get("misses", 0)
-        return batch
 
 
 def server_available(socket_path: Optional[str] = None) -> bool:

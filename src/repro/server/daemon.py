@@ -80,8 +80,9 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .. import __version__
-from ..analysis.batch import BatchConfig, _make_pool, run_batch
-from ..analysis.cache import ResultCache, cache_key
+from ..analysis.batch import ANALYZE, BatchConfig, _make_pool, run_batch, run_cached
+from ..analysis.cache import ResultCache
+from ..analysis.optimize.advisor import OPTIMIZE, run_optimize_batch
 from ..analysis.resilience import clamped_budget
 from ..obs import (
     MetricsSnapshot,
@@ -114,6 +115,17 @@ DEFAULT_MAX_INFLIGHT = 64
 DEFAULT_DRAIN_DEADLINE = 5.0
 
 
+def _kind(name):
+    """``analyze`` / ``optimize`` -> (wire field, batch kind, batch
+    runner).  The wire field is also the attribute holding each file's
+    result in the runner's per-file results."""
+    if name == "analyze":
+        return "report", ANALYZE, run_batch
+    if name == "optimize":
+        return "plan", OPTIMIZE, run_optimize_batch
+    raise ValueError(f"unknown batch kind: {name!r}")
+
+
 class AnalysisServer:
     """The long-lived analysis service behind the socket.
 
@@ -137,7 +149,6 @@ class AnalysisServer:
         frame_deadline: Optional[float] = protocol.DEFAULT_FRAME_DEADLINE,
         idle_timeout: Optional[float] = None,
         drain_deadline: float = DEFAULT_DRAIN_DEADLINE,
-        incremental: bool = True,
     ):
         self.socket_path = socket_path or protocol.default_socket_path()
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -164,7 +175,6 @@ class AnalysisServer:
         #: fragment-level incremental re-analysis in watch mode (the
         #: sub-100ms edit→report path); the session is built lazily on
         #: the first watch round so non-watch daemons pay nothing
-        self.incremental = incremental
         self._incremental_session = None
 
     # -- warm state ---------------------------------------------------------
@@ -410,81 +420,43 @@ class AnalysisServer:
         }
 
     def _op_analyze(self, message: dict, request_id: Optional[str] = None) -> dict:
-        """One script, by inline ``source`` or by ``path``."""
-        from ..analysis import analyze
-        from ..analysis.report import Report
-        from ..obs import get_recorder
-
-        source = message.get("source")
-        if source is None:
-            path = message.get("path")
-            if not path:
-                raise ValueError("analyze request needs 'source' or 'path'")
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        config = self._clamped(
-            protocol.config_from_wire(message.get("config")), request_id
-        )
-        key = cache_key(source, config.fingerprint())
-        recorder = get_recorder()
-        if self.cache is not None:
-            data = self.cache.get(key)
-            if data is not None:
-                recorder.count("batch.cache.hit")
-                return {"report": data, "cached": True}
-            recorder.count("batch.cache.miss")
-        report = analyze(source, budget=config.budget(), **config.analyze_kwargs())
-        data = report.to_dict()
-        if self.cache is not None and not report.degraded:
-            self.cache.put(key, data)
-        # round-trip like the batch driver so server output is
-        # byte-identical to the inline path
-        return {"report": Report.from_dict(data).to_dict(), "cached": False}
+        """One script's report, by inline ``source`` or by ``path``."""
+        return self._op_single("analyze", message, request_id)
 
     def _op_optimize(self, message: dict, request_id: Optional[str] = None) -> dict:
         """One script's optimization plan, by inline ``source`` or by
-        ``path`` — the warm path for editor/JIT advisors.  Mirrors
-        ``analyze``: plan-cache lookup first, round-tripped plan dicts so
-        server responses are byte-identical to inline runs."""
-        from ..analysis.optimize import (
-            PLAN_SCHEMA_VERSION,
-            OptimizePlan,
-            optimize_source,
-            plan_cache_key,
-        )
-        from ..obs import get_recorder
+        ``path`` — the warm path for editor/JIT advisors."""
+        return self._op_single("optimize", message, request_id)
 
+    def _op_single(self, op: str, message: dict, request_id: Optional[str]) -> dict:
+        """Cache lookup first; a hit returns the stored dict untouched,
+        a fresh result is round-tripped so the response is
+        byte-identical to the inline path."""
+        field, kind, _ = _kind(op)
         source = message.get("source")
         if source is None:
             path = message.get("path")
             if not path:
-                raise ValueError("optimize request needs 'source' or 'path'")
+                raise ValueError(f"{op} request needs 'source' or 'path'")
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        key = plan_cache_key(source, config)
-        recorder = get_recorder()
-        if self.cache is not None:
-            data = self.cache.get(key, schema=PLAN_SCHEMA_VERSION)
-            if data is not None:
-                recorder.count("optimize.cache.hit")
-                return {"plan": data, "cached": True}
-            recorder.count("optimize.cache.miss")
-        data = optimize_source(source, config)
-        if self.cache is not None and not data.get("degraded"):
-            self.cache.put(key, data)
-        return {"plan": OptimizePlan.from_dict(data).to_dict(), "cached": False}
+        data, cached = run_cached(kind, source, config, self.cache)
+        return {field: data, "cached": cached}
 
     def _op_batch(self, message: dict, request_id: Optional[str] = None) -> dict:
+        """A corpus through the batch driver; ``kind`` (``analyze``, the
+        default, or ``optimize``) picks what each file gets."""
         inputs = message.get("inputs")
         if not isinstance(inputs, list) or not inputs:
             raise ValueError("batch request needs a non-empty 'inputs' list")
+        field, _, run = _kind(message.get("kind", "analyze"))
         config = self._clamped(
             protocol.config_from_wire(message.get("config")), request_id
         )
-        batch = run_batch(
+        batch = run(
             inputs,
             config=config,
             jobs=self.jobs,
@@ -500,7 +472,7 @@ class AnalysisServer:
             "results": [
                 {
                     "path": r.path,
-                    "report": r.report.to_dict(),
+                    field: getattr(r, field).to_dict(),
                     "cached": r.cached,
                     "quarantined": r.quarantined,
                     "seconds": r.seconds,
@@ -661,9 +633,7 @@ class AnalysisServer:
                 continue
             report = session.analyze(source, path=path)
             if self.cache is not None and not report.degraded:
-                self.cache.put(
-                    cache_key(source, config.fingerprint()), report.to_dict()
-                )
+                self.cache.put(ANALYZE.key(source, config), report.to_dict())
             self.log.info(
                 "watch.incremental",
                 path=path,
@@ -677,11 +647,10 @@ class AnalysisServer:
         re-analyze them as they change, keeping the result cache warm so
         the *next* client request over those files is all cache hits.
 
-        With ``incremental`` on (the default), re-analysis goes through
-        the fragment-summary session: only function bodies whose source
-        digest changed — plus their dependence-graph dependents — are
-        re-explored, which is what makes the edit→report turnaround
-        sub-100ms on warm summaries."""
+        Re-analysis goes through the fragment-summary session: only
+        function bodies whose source digest changed — plus their
+        dependence-graph dependents — are re-explored, which is what
+        makes the edit→report turnaround sub-100ms on warm summaries."""
         watcher = Watcher(inputs, log=self.log)
 
         def loop() -> None:
@@ -698,16 +667,7 @@ class AnalysisServer:
                             round_recorder.count("server.watch_files", len(changed))
                             config = self._clamped(BatchConfig())
                             with round_recorder.span("server.watch"):
-                                if self.incremental:
-                                    self._watch_reanalyze(changed, config)
-                                else:
-                                    run_batch(
-                                        changed,
-                                        config=config,
-                                        jobs=self.jobs,
-                                        cache=self.cache,
-                                        pool=self._get_pool(),
-                                    )
+                                self._watch_reanalyze(changed, config)
                             self.log.info(
                                 "watch.scan",
                                 changed=len(changed),
@@ -865,7 +825,6 @@ def serve(
     supervised: bool = False,
     max_restarts: int = 5,
     install_signals: bool = False,
-    incremental: bool = True,
 ) -> AnalysisServer:
     """Build, warm, and run a daemon (the ``repro-served`` body).
 
@@ -897,7 +856,6 @@ def serve(
             frame_deadline=frame_deadline,
             idle_timeout=idle_timeout,
             drain_deadline=drain_deadline,
-            incremental=incremental,
         )
         if not warmed.is_set():
             server.warm()

@@ -146,3 +146,30 @@ class TestScriptEntries:
         assert documented <= set(entries)
         for function in entries.values():
             assert callable(getattr(cli, function))
+
+
+class TestServerFallback:
+    """``--server`` with nothing listening: one notice, one counted
+    fallback, and exactly the inline run's exit code and stdout."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    @pytest.mark.parametrize("main", [cli.main_analyze, cli.main_optimize])
+    @pytest.mark.parametrize(
+        "target", ["examples/scripts/log_fanout.sh", "examples/scripts"]
+    )
+    def test_fallback_matches_inline(self, main, target, tmp_path, capsys):
+        from repro.server import reset_breakers
+
+        reset_breakers()
+        argv = [str(self.ROOT / target), "--no-cache", "--jobs", "1"]
+        inline_code, inline_out, _ = run_tool(main, argv, capsys)
+        socket = str(tmp_path / "nobody-listens.sock")
+        code, out, err = run_tool(
+            main, argv + ["--server", "--socket", socket, "--stats"], capsys
+        )
+        assert code == inline_code
+        assert out == inline_out
+        notices = [line for line in err.splitlines() if line.endswith(" inline")]
+        assert len(notices) == 1, err
+        assert re.search(r"^  server\.client\.inline_fallback \.+ 1$", err, re.M), err

@@ -5,6 +5,9 @@ degraded/internal-error/quarantine entry, never an uncaught exception,
 and degraded results must be provably absent from the cache."""
 
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +18,9 @@ from repro.analysis import (
     analyze,
     batch as batch_mod,
     run_batch,
+    run_optimize_batch,
 )
+from repro.analysis.optimize import advisor
 from repro.analysis.resilience import (
     AnalysisBudgetExceeded,
     ResourceBudget,
@@ -123,14 +128,17 @@ class TestWorkerDeath:
         assert not recovered.degraded
 
     def test_inline_crash_does_not_abort_batch(self, corpus, monkeypatch):
-        real_analyze_source = batch_mod.analyze_source
+        real_compute = batch_mod.ANALYZE.compute
 
-        def selective_bomb(source, config):
-            if "echo 2" in source:
+        def selective_bomb(source, config, budget=None):
+            # only the first attempt dies; the tightened retry passes a budget
+            if "echo 2" in source and budget is None:
                 raise MemoryError("inline crash")
-            return real_analyze_source(source, config)
+            return real_compute(source, config, budget)
 
-        monkeypatch.setattr(batch_mod, "analyze_source", selective_bomb)
+        monkeypatch.setattr(
+            batch_mod, "ANALYZE", replace(batch_mod.ANALYZE, compute=selective_bomb)
+        )
         recorder = TraceRecorder()
         with use_recorder(recorder):
             batch = run_batch([str(corpus)], jobs=1)
@@ -139,6 +147,90 @@ class TestWorkerDeath:
         assert recorder.counter("batch.worker_failures") == 1
         assert recorder.counter("batch.retries") == 1
         assert not batch.degraded
+
+
+class _DyingPool:
+    """Stand-in executor that runs each file in-process, except that the
+    worker handed the ``doomed`` file dies (its future raises
+    ``BrokenProcessPool``, as a killed worker's does)."""
+
+    def __init__(self, doomed):
+        self.doomed = doomed
+
+    def submit(self, fn, item):
+        future = Future()
+        if self.doomed in item[1]:
+            future.set_exception(BrokenProcessPool("worker died"))
+            return future
+        try:
+            future.set_result(fn(item))
+        except Exception as exc:  # noqa: BLE001 — as a worker would report it
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class TestOptimizeWorkerDeath:
+    """Optimize batches get the same per-file isolation as analysis."""
+
+    def test_dead_worker_is_replanned_under_a_tightened_budget(
+        self, corpus, monkeypatch
+    ):
+        monkeypatch.setattr(batch_mod, "_make_pool", lambda jobs: _DyingPool("echo 2"))
+        budgets = {}
+        real_build_plan = advisor.build_plan
+
+        def spy(source, config=None, budget=None):
+            budgets[source] = budget
+            return real_build_plan(source, config, budget)
+
+        monkeypatch.setattr(advisor, "build_plan", spy)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = run_optimize_batch([str(corpus)], jobs=2)
+        assert recorder.counter("optimize.worker_failures") == 1
+        assert recorder.counter("optimize.retries") == 1
+        assert recorder.counter("optimize.quarantined") == 0
+        tight = ResourceBudget().tightened()
+        retried = budgets.pop("echo 2\n")
+        limits = ("deadline", "max_states", "max_dfa_states", "max_depth")
+        assert [getattr(retried, n) for n in limits] == [
+            getattr(tight, n) for n in limits
+        ]
+        assert budgets == {f"echo {i}\n": None for i in (0, 1, 3)}
+        assert not batch.degraded
+        monkeypatch.undo()
+        assert batch.render() == run_optimize_batch([str(corpus)], jobs=1).render()
+
+    def test_failed_retry_quarantines_the_plan(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(batch_mod, "_make_pool", lambda jobs: _DyingPool("echo 2"))
+        real_compute = advisor.OPTIMIZE.compute
+
+        def exploding(source, config, budget=None):
+            if "echo 2" in source:
+                raise RuntimeError("retry also dies")
+            return real_compute(source, config, budget)
+
+        monkeypatch.setattr(
+            advisor, "OPTIMIZE", replace(advisor.OPTIMIZE, compute=exploding)
+        )
+        cache = ResultCache(str(tmp_path / "cache"))
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = run_optimize_batch([str(corpus)], jobs=2, cache=cache)
+        assert recorder.counter("optimize.worker_failures") == 1
+        assert recorder.counter("optimize.retries") == 1
+        assert recorder.counter("optimize.quarantined") == 1
+        quarantined = [r for r in batch.results if r.quarantined]
+        assert [r.path for r in quarantined] == [str(corpus / "s2.sh")]
+        plan = quarantined[0].plan
+        assert plan.degraded and "quarantined" in plan.degraded_reason
+        assert "retry also dies" in plan.degraded_reason
+        assert "1 file(s) degraded" in batch.render()
+        # the quarantined plan was never cached
+        assert recorder.counter("optimize.cache.store") == 3
 
 
 class TestDegradedNeverCached:

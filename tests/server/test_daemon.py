@@ -5,6 +5,7 @@ Each test spins the daemon up on a socket in tmp_path with ``jobs=1``
 :class:`~repro.server.ServerClient`.
 """
 
+import json
 import os
 import threading
 import time
@@ -13,6 +14,7 @@ import pytest
 
 from repro.analysis.batch import BatchConfig, run_batch
 from repro.analysis.cache import ResultCache
+from repro.analysis.optimize import run_optimize_batch
 from repro.obs import OpsLogger, TraceRecorder, use_recorder
 from repro.server import (
     AnalysisServer,
@@ -169,6 +171,36 @@ class TestOps:
             if time.monotonic() > deadline:
                 pytest.fail("daemon did not stop")
             time.sleep(0.02)
+
+
+class TestBatchKinds:
+    def test_optimize_kind_matches_run_optimize_batch(self, daemon, tmp_path):
+        corpus = _corpus(tmp_path)
+        client = ServerClient(daemon.socket_path)
+        raw = client.request({"op": "batch", "kind": "optimize", "inputs": [corpus]})
+        inline = run_optimize_batch([corpus], config=BatchConfig(), jobs=1)
+        assert [e["path"] for e in raw["results"]] == [r.path for r in inline.results]
+        assert [json.dumps(e["plan"], sort_keys=True) for e in raw["results"]] == [
+            json.dumps(r.plan.to_dict(), sort_keys=True) for r in inline.results
+        ]
+        assert raw["misses"] == 2 and raw["hits"] == 0
+
+        warm = client.batch([corpus], kind="optimize")
+        counters = client.last_metrics["counters"]
+        assert counters.get("optimize.cache.hit") == 2
+        assert "optimize.cache.miss" not in counters
+        assert warm.hits == 2 and all(r.cached for r in warm.results)
+        assert warm.render() == inline.render()
+
+    def test_unknown_kind_is_an_error_envelope(self, daemon, tmp_path):
+        corpus = _corpus(tmp_path)
+        client = ServerClient(daemon.socket_path)
+        with pytest.raises(ServerError, match="unknown batch kind: 'bogus'"):
+            client.request({"op": "batch", "kind": "bogus", "inputs": [corpus]})
+        assert client.last_metrics["counters"]["server.errors"] == 1
+        # the daemon keeps serving
+        assert client.ping()["protocol"] == 1
+        assert len(client.batch([corpus]).results) == 2
 
 
 class TestClientFallback:
