@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..checkers import default_checkers
 from ..fs import FsOp
 from ..shell import parse
 from ..shell.ast import Command, Sequence as SeqNode, SimpleCommand, walk
@@ -118,8 +117,8 @@ class DependencyGraph:
         return "\n".join(lines)
 
 
-def _top_level_commands(source: str) -> List[Command]:
-    ast = parse(source)
+def top_level_commands(ast: Command) -> List[Command]:
+    """A parsed script's top-level commands, in order."""
     if isinstance(ast, SeqNode):
         return list(ast.commands)
     return [ast]
@@ -244,10 +243,25 @@ def _vars_of(node: Command) -> Tuple[Set[str], Set[str]]:
 
 def analyze_dependencies(
     source: str,
-    n_args: int = 0,
+    n_args: Optional[int] = 0,
     budget: Optional[ResourceBudget] = None,
+    *,
+    args: Optional[Sequence[str]] = None,
+    max_fork: int = 64,
+    max_loop: int = 2,
+    prune: bool = True,
+    ast: Optional[Command] = None,
 ) -> DependencyGraph:
     """Build the dependency graph of a script's top-level commands.
+
+    ``n_args``, ``args``, ``max_fork``, ``max_loop`` and ``prune`` shape
+    the entry state and the engine as they do for
+    :func:`~repro.analysis.analyzer.analyze`.  ``ast`` is ``source``
+    already parsed (the caller's parse is reused, not repeated).
+
+    The engine runs without checkers: their diagnostics would be
+    discarded, and checkers only observe states, so the events
+    attributed to each command are the same without them.
 
     ``budget`` bounds the per-command symbolic evaluation (wall clock and
     state count).  On exhaustion the analysis does not raise: the command
@@ -255,14 +269,21 @@ def analyze_dependencies(
     marked external (ordered after everything), and the returned graph
     carries ``degraded=True`` with the reason.
     """
-    commands = _top_level_commands(source)
-    engine = Engine(checkers=default_checkers(), budget=budget)
-    engine.script_assigned = set()
     from ..symex.engine import _assigned_names
 
-    ast = parse(source)
+    if ast is None:
+        ast = parse(source)
+    commands = top_level_commands(ast)
+    engine = Engine(
+        checkers=[],
+        max_fork=max_fork,
+        max_loop=max_loop,
+        prune=prune,
+        budget=budget,
+    )
     engine.script_assigned = _assigned_names(ast)
-    states = [engine.initial_state(n_args=n_args)]
+    functions = _assigned_functions(ast)
+    states = [engine.initial_state(n_args=n_args, args=args)]
 
     if budget is not None:
         budget.start()
@@ -308,15 +329,14 @@ def analyze_dependencies(
                 effect.external = True
                 effects.append(effect)
                 continue
-            has_unknown = any(
+            effect.external = any(
                 isinstance(sub, SimpleCommand)
                 and sub.name is not None
                 and engine.registry.get(sub.name) is None
                 and not _is_builtin_name(sub.name)
-                and sub.name not in _assigned_functions(ast)
+                and sub.name not in functions
                 for sub in walk(command)
             )
-            effect.external = has_unknown
             effects.append(effect)
             states = next_states[: engine.max_fork]
 

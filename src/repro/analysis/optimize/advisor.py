@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...obs import get_recorder
+from ...shell import parse
 from ...shell.ast import (
     Background,
     Command,
@@ -37,16 +38,16 @@ from ...shell.printer import render
 from ..analyzer import analyze
 from ..batch import BatchConfig, BatchKind, run_kind
 from ..cache import ResultCache, cache_key
-from ..deps import _top_level_commands, analyze_dependencies
+from ..deps import analyze_dependencies, top_level_commands
 from ..resilience import ResourceBudget, quarantine_diagnostic
 from .classify import STATE_BUILTINS, classify_pipeline
 from .plan import PLAN_SCHEMA_VERSION, OptimizePlan, ReorderGroup
 
 
 #: bump when plan content changes without a layout change, so a plan
-#: cached by an older advisor is never served ("deps-sorted": dependence
-#: witnesses no longer depend on the process's analysis history)
-PLAN_CACHE_SALT = "deps-sorted"
+#: cached by an older advisor is never served ("deps-config": the
+#: dependence analysis models the configured arguments and engine limits)
+PLAN_CACHE_SALT = "deps-config"
 
 
 def plan_cache_key(source: str, config: BatchConfig) -> str:
@@ -189,9 +190,20 @@ def build_plan(
     with rec.span("optimize.run"):
         rec.count("optimize.runs")
 
+        ast = parse(source)
+        nodes = top_level_commands(ast)
         with rec.span("optimize.deps"):
+            # the same entry state and engine limits as the race gate's
+            # analyses below
             graph = analyze_dependencies(
-                source, n_args=config.n_args or 0, budget=budget
+                source,
+                n_args=config.n_args,
+                budget=budget,
+                args=config.args,
+                max_fork=config.max_fork,
+                max_loop=config.max_loop,
+                prune=config.prune,
+                ast=ast,
             )
         plan.degraded = graph.degraded
         plan.degraded_reason = graph.degraded_reason
@@ -208,7 +220,6 @@ def build_plan(
         ]
         plan.schedule = graph.stages()
 
-        nodes = _top_level_commands(source)
         with rec.span("optimize.classify"):
             for index, node in enumerate(nodes):
                 for sub in walk(node):

@@ -63,8 +63,8 @@ class IdempotenceChecker(Checker):
         for the idempotence question: in the world where X exists as
         some *other* kind, the creation already fails on the first run —
         there is no succeed-then-fail hazard.  Only fires when every
-        creation target carries such a fact; UNKNOWN targets keep the
-        warning.
+        creation target carries such a fact; UNKNOWN targets, and paths
+        the model has never seen, keep the warning.
         """
         created_kind = NodeKind.DIR if name == "mkdir" else NodeKind.SYMLINK
         targets = [
@@ -79,7 +79,9 @@ class IdempotenceChecker(Checker):
             path = parse_sympath(operand)
             if path is None:
                 return False
-            node_id = state.fs.resolve(path, cwd=state.cwd_node)
+            # a pure lookup: a checker must not allocate nodes in the
+            # state it observes, or it changes node identity downstream
+            node_id = state.fs.resolve(path, cwd=state.cwd_node, create=False)
             if node_id is None:
                 return False
             if state.fs.existence(node_id) is Existence.ABSENT:

@@ -138,17 +138,25 @@ class FileSystem:
 
         ``cwd`` is the node of the current working directory for relative
         paths; None means an unknown cwd, modelled as a shared abstract
-        node.
+        node.  With ``create=False`` the lookup allocates nothing, not
+        even an abstract root, and a path the model has not seen yet
+        resolves to None.
         """
+        rest = path.components
+        root_vid: Optional[int] = None
         if path.sym_rooted:
-            current = self.sym_root(path.components[0].vid)  # type: ignore[union-attr]
+            root_vid = path.components[0].vid  # type: ignore[union-attr]
             rest = path.components[1:]
         elif path.absolute:
             current = self.ROOT
-            rest = path.components
+        elif cwd is not None:
+            current = cwd
         else:
-            current = cwd if cwd is not None else self.sym_root(-1)
-            rest = path.components
+            root_vid = -1
+        if root_vid is not None:
+            if not create and root_vid not in self.sym_roots:
+                return None
+            current = self.sym_root(root_vid)
         for component in rest:
             current = self._follow_links(current)
             nxt = self._child(current, component, create=create)

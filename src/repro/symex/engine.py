@@ -16,7 +16,7 @@ from ..diag import Diagnostic, Severity, dedupe
 from ..fs import FsContradiction, FsOp, NodeKind, Origin, parse_sympath
 from ..obs import Recorder, get_recorder
 from ..rlang import Regex
-from ..rtypes import StreamType, check_pipeline
+from ..rtypes import PipelineTypes, StreamType, check_pipeline
 from ..shell import parse as parse_shell
 from ..shell.ast import (
     AndOr,
@@ -139,6 +139,9 @@ class Engine:
         self.loop_depth = 0
         #: provenance labels, cached per AST node (id(node) -> Origin)
         self._origin_cache: Dict[int, Origin] = {}
+        #: stream types of static pipelines, typed once per run (argv
+        #: tuple -> PipelineTypes); typing depends on the argvs alone
+        self._pipeline_types: Dict[tuple, PipelineTypes] = {}
         #: optional fragment memoization hook (incremental analysis):
         #: when set, function-body evaluations may be served from
         #: per-fragment summaries instead of being re-explored.  See
@@ -213,6 +216,7 @@ class Engine:
         self._success_tracker = {}
         self._region_counter = 0
         self._origin_cache = {}
+        self._pipeline_types = {}
         self.loop_depth = 0
         if state is None:
             state = self.initial_state(n_args=n_args, args=args)
@@ -467,6 +471,14 @@ class Engine:
             state.status = None
             return [state]
 
+        if spec.operands_are_paths:
+            # resolve each path operand once, before the clauses fork, so
+            # it names the same fs node on every branch: a write on one
+            # branch and a read on another then meet in the dependence
+            # analysis's union over paths
+            for value in operand_values[spec.path_operands_from:]:
+                self._resolve(value, state)
+
         results: List[SymState] = []
         any_success_feasible = False
         has_success_clause = any(c.exit_code == 0 for c in clauses)
@@ -571,13 +583,15 @@ class Engine:
             return True, ""
         if spec.path_operands_from:
             operands = operands[spec.path_operands_from:]
+        # a clause whose preconditions or effects contradict established
+        # fs facts cannot happen on this path
         try:
             for pre in clause.pre:
                 self._assume_pre(pre, operands, state)
+            for effect in clause.effects:
+                self._apply_effect(effect, operands, state, node)
         except FsContradiction as exc:
             return False, str(exc)
-        for effect in clause.effects:
-            self._apply_effect(effect, operands, state, node)
         return True, ""
 
     def _assume_pre(self, pre, operands: List[SymString], state: SymState) -> None:
@@ -629,7 +643,15 @@ class Engine:
         elif isinstance(effect, WritesFile):
             for value in self._select(effect.sel, operands):
                 node_id = self._resolve(value, state)
-                if node_id is not None:
+                if node_id is None:
+                    continue
+                if state.fs.kind(node_id) is NodeKind.DIR:
+                    # spec writes (touch's timestamps, chmod's mode) are
+                    # metadata updates: a directory stays a directory
+                    state.fs.log.record(
+                        FsOp.WRITE, state.fs.path_of(node_id), node_id
+                    )
+                else:
                     state.fs.write_file(node_id)
         elif isinstance(effect, ReadsFile):
             for value in self._select(effect.sel, operands):
@@ -637,8 +659,6 @@ class Engine:
                 if node_id is not None:
                     state.fs.read_file(node_id)
         elif isinstance(effect, ListsDir):
-            from ..fs import FsOp
-
             for value in self._select(effect.sel, operands):
                 node_id = self._resolve(value, state)
                 if node_id is not None:
@@ -819,16 +839,8 @@ class Engine:
             argvs.append(argv)
         output_type: Optional[StreamType] = None
         if static:
-            overrides = None
-            if self.signature_overrides:
-                overrides = []
-                for argv in argvs:
-                    sig = self.signature_overrides.get(
-                        " ".join(argv)
-                    ) or self.signature_overrides.get(argv[0])
-                    overrides.append(sig)
             self._rec.count("rtypes.pipeline_checks")
-            types = check_pipeline(argvs, signatures=overrides)
+            types = self._type_pipeline(argvs)
             for checker in self.checkers:
                 checker.on_pipeline(state, node, types.issues)
             output_type = types.output
@@ -855,6 +867,24 @@ class Engine:
             if node.negated and result.status is not None:
                 result.status = 1 if result.status == 0 else 0
         return states
+
+    def _type_pipeline(self, argvs: List[List[str]]) -> PipelineTypes:
+        """The stream types of a static pipeline, memoized per run by
+        argv (annotation overrides bypass the memo)."""
+        if self.signature_overrides:
+            overrides = [
+                self.signature_overrides.get(" ".join(argv))
+                or self.signature_overrides.get(argv[0])
+                for argv in argvs
+            ]
+            self._rec.count("rtypes.pipelines_typed")
+            return check_pipeline(argvs, signatures=overrides)
+        key = tuple(tuple(argv) for argv in argvs)
+        types = self._pipeline_types.get(key)
+        if types is None:
+            self._rec.count("rtypes.pipelines_typed")
+            types = self._pipeline_types[key] = check_pipeline(argvs)
+        return types
 
     def eval_andor(self, node: AndOr, state: SymState) -> List[SymState]:
         left_states = self._eval_condition(node.left, state)

@@ -176,3 +176,69 @@ class TestHistoryIndependence:
             ]
             vias.add(tuple(nodes))
         assert len(vias) == 1
+
+
+class TestPlanConfig:
+    """The plan's dependence analysis models the configured arguments
+    and engine limits, as the race gate's analyses do."""
+
+    SOURCE = 'mkdir "$1"\necho hi > "$2/f"\nls /tmp\n'
+
+    def test_concrete_args_reach_the_dependence_analysis(self):
+        graph = analyze_dependencies(self.SOURCE, args=("d", "d"))
+        assert (0, 1, "flow") in [
+            (d.src, d.dst, d.kind) for d in graph.dependencies
+        ]
+
+    def test_plan_orders_commands_that_share_an_argument(self):
+        from repro.analysis.batch import BatchConfig
+        from repro.analysis.optimize import build_plan
+
+        plan = build_plan(self.SOURCE, BatchConfig(args=("d", "d")))
+        assert {"src": 0, "dst": 1, "kind": "flow", "via": "node n0"} in (
+            plan.dependencies
+        )
+        assert all(
+            not {0, 1} <= set(group.commands) for group in plan.groups
+        )
+
+    def test_engine_limits_reach_the_dependence_analysis(self, monkeypatch):
+        from repro.analysis import deps
+        from repro.analysis.batch import BatchConfig
+        from repro.analysis.optimize import build_plan
+
+        seen = []
+
+        class Recording(deps.Engine):
+            def __init__(self, **kwargs):
+                seen.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(deps, "Engine", Recording)
+        build_plan(
+            "echo a > /x\n",
+            BatchConfig(max_fork=7, max_loop=3, prune=False),
+        )
+        assert seen and all(
+            (kw["max_fork"], kw["max_loop"], kw["prune"]) == (7, 3, False)
+            for kw in seen
+        )
+
+
+class TestOperandIdentityAcrossClauses:
+    """A spec command's path operand names one fs node on every clause
+    branch.  ``mkdir /f`` succeeding makes ``cat /f`` contradict (no
+    read on that path); the dependence shows only because the branch
+    where ``mkdir`` failed reads the same node the other branch wrote."""
+
+    def _edges(self, source):
+        return [(d.src, d.dst, d.kind) for d in analyze_dependencies(source).dependencies]
+
+    def test_read_after_mkdir_of_the_same_path(self):
+        assert (0, 1, "flow") in self._edges("mkdir /f\ncat /f\n")
+
+    def test_redirect_after_mkdir_of_the_same_path(self):
+        assert (0, 1, "output") in self._edges("mkdir /f\necho x > /f\n")
+
+    def test_symbolic_operand(self):
+        assert (0, 1, "flow") in self._edges('mkdir "$1"\ncat "$1"\n')
